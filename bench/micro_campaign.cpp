@@ -1,19 +1,14 @@
-// Micro-benchmarks of the campaign fast-reset engine (google-benchmark).
+// Micro-benchmarks of campaign attempt reuse (google-benchmark).
 //
-// BM_CampaignThroughput is the headline number for the snapshot/memo
-// subsystem: attempts/s of a repeated CR-Spectre scenario, with Arg(1)
-// running through a ScenarioSession (snapshot restore + memoized builds)
-// and Arg(0) through the legacy rebuild-everything run_scenario path. The
-// scenario is sized so per-attempt setup (ROP recon/plan, binary builds,
-// machine construction) is the dominant legacy cost — exactly the regime
-// campaign drivers live in, where thousands of short attempts share one
-// configuration.
+// BM_CampaignThroughput is attempts/s of a repeated CR-Spectre scenario
+// through one ScenarioSession (memoized builds, machine reverted after every
+// attempt). The scenario is short, so the per-attempt reset is a visible
+// share of the attempt — the regime campaign drivers live in, where
+// thousands of short attempts share one configuration.
 #include <benchmark/benchmark.h>
 
 #include "bench_json_reporter.hpp"
 #include "core/scenario.hpp"
-#include "sim/snapshot.hpp"
-#include "support/memo.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -32,37 +27,21 @@ core::ScenarioConfig campaign_config() {
 }
 
 void BM_CampaignThroughput(benchmark::State& state) {
-  const bool snapshot = state.range(0) != 0;
-  const bool prev = fast_reset_enabled();
-  set_fast_reset_enabled(snapshot);
   const core::ScenarioConfig config = campaign_config();
   std::uint64_t seed = config.seed;
-  if (snapshot) {
-    core::ScenarioSession session(config);
-    for (auto _ : state) {
-      const auto run = session.run_attempt(seed++);
-      benchmark::DoNotOptimize(run.attack_launched);
-    }
-  } else {
-    for (auto _ : state) {
-      core::ScenarioConfig attempt = config;
-      attempt.seed = seed++;
-      const auto run = core::run_scenario(attempt);
-      benchmark::DoNotOptimize(run.attack_launched);
-    }
+  core::ScenarioSession session(config);
+  for (auto _ : state) {
+    const auto run = session.run_attempt(seed++);
+    benchmark::DoNotOptimize(run.attack_launched);
   }
-  set_fast_reset_enabled(prev);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CampaignThroughput)
-    ->Arg(1)
-    ->Arg(0)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CampaignThroughput)->Unit(benchmark::kMillisecond);
 
-// Pages restored per second by Machine::restore on a machine dirtied by a
+// Pages reverted per second by Machine::revert on a machine dirtied by a
 // real (short) workload run — the raw cost of one rollback, isolated from
 // the attempt that dirtied it.
-void BM_SnapshotRestore(benchmark::State& state) {
+void BM_MachineRevert(benchmark::State& state) {
   workloads::WorkloadOptions opt;
   opt.scale = 200;
   opt.secret = "CRS!";
@@ -70,7 +49,6 @@ void BM_SnapshotRestore(benchmark::State& state) {
   sim::Machine machine;
   sim::Kernel kernel(machine);
   kernel.register_binary("/bin/w", prog);
-  sim::MachineSnapshot snap = machine.snapshot();
   std::int64_t pages = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -78,12 +56,11 @@ void BM_SnapshotRestore(benchmark::State& state) {
     kernel.start_with_strings("/bin/w", {"w"});
     kernel.run(150'000);
     state.ResumeTiming();
-    machine.restore(snap);
-    pages += static_cast<std::int64_t>(snap.last_restored_pages());
+    pages += static_cast<std::int64_t>(machine.revert());
   }
   state.SetItemsProcessed(pages);
 }
-BENCHMARK(BM_SnapshotRestore)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MachineRevert)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

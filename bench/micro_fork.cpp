@@ -1,74 +1,28 @@
-// Micro-benchmarks of the copy-on-write fork engine (google-benchmark).
+// Micro-benchmarks of machine forking (google-benchmark).
 //
-// BM_MachineFork is the headline number: machines replicated per second,
-// with Arg(1) forking the shared frozen baseline (O(metadata) + promoted
-// pages) and Arg(0) paying the full Machine(config) construction — the
-// 16 MB zero-fill plus cache/predictor allocation that population-scale
-// fan-out used to pay per session. BM_SessionResidentBytes reports the
-// per-session private footprint after a real workload run (manual time is
-// pinned to 1 s/iteration, so items_per_s IS mean resident bytes — exact
-// and machine-independent); the perf-smoke gate bounds fork residency to
-// well under half the private-mode machine. BM_SessionFanout measures the
-// end-to-end unit campaign drivers replicate — ScenarioSession build plus
-// one attempt — with the cow engine on and off.
+// BM_MachineFork is machines forked per second from the shared pristine
+// baseline (O(metadata); no page data). BM_SessionFanout measures the
+// end-to-end unit campaign drivers replicate: a ScenarioSession build plus
+// one attempt.
 #include <benchmark/benchmark.h>
-
-#include <memory>
 
 #include "bench_json_reporter.hpp"
 #include "core/scenario.hpp"
 #include "sim/snapshot.hpp"
-#include "support/memo.hpp"
-#include "workloads/workloads.hpp"
 
 namespace {
 
 using namespace crs;
 
 void BM_MachineFork(benchmark::State& state) {
-  const bool cow = state.range(0) != 0;
-  const sim::MachineConfig config;
-  const auto base = sim::shared_baseline(config);
+  const auto base = sim::shared_baseline(sim::MachineConfig{});
   for (auto _ : state) {
-    if (cow) {
-      sim::Machine machine(*base);
-      benchmark::DoNotOptimize(machine.memory().is_cow());
-    } else {
-      sim::Machine machine(config);
-      benchmark::DoNotOptimize(machine.memory().is_cow());
-    }
+    sim::Machine machine(*base);
+    benchmark::DoNotOptimize(machine.memory().promoted_pages());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MachineFork)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
-
-/// Runs one short real workload on a fresh machine and reports the bytes of
-/// page data the machine privately owns afterwards: the whole flat store in
-/// private mode, promoted frames only for a fork.
-void BM_SessionResidentBytes(benchmark::State& state) {
-  const bool cow = state.range(0) != 0;
-  const sim::MachineConfig config;
-  const auto base = sim::shared_baseline(config);
-  std::int64_t bytes = 0;
-  for (auto _ : state) {
-    auto machine = cow ? std::make_unique<sim::Machine>(*base)
-                       : std::make_unique<sim::Machine>(config);
-    sim::Kernel kernel(*machine);
-    workloads::WorkloadOptions opt;
-    opt.scale = 4;
-    kernel.register_binary("/bin/w", workloads::build_workload("basicmath", opt));
-    kernel.start_with_strings("/bin/w", {"benign"});
-    kernel.run(200'000'000);
-    bytes += static_cast<std::int64_t>(machine->memory().resident_bytes());
-    state.SetIterationTime(1.0);  // 1 s/iter: items_per_s == resident bytes
-  }
-  state.SetItemsProcessed(bytes);
-}
-BENCHMARK(BM_SessionResidentBytes)
-    ->Arg(1)
-    ->Arg(0)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MachineFork)->Unit(benchmark::kMicrosecond);
 
 core::ScenarioConfig fanout_config() {
   core::ScenarioConfig config;
@@ -84,9 +38,6 @@ core::ScenarioConfig fanout_config() {
 /// The unit campaign drivers replicate per worker: build a ScenarioSession
 /// (machine + kernel + memoized binaries) and run one attempt.
 void BM_SessionFanout(benchmark::State& state) {
-  const bool cow = state.range(0) != 0;
-  const bool prev = cow_enabled();
-  set_cow_enabled(cow);
   const core::ScenarioConfig config = fanout_config();
   core::warm_scenario_memo(config);  // isolate replication from first-build
   std::uint64_t seed = config.seed;
@@ -95,10 +46,9 @@ void BM_SessionFanout(benchmark::State& state) {
     const auto run = session.run_attempt(seed++);
     benchmark::DoNotOptimize(run.attack_launched);
   }
-  set_cow_enabled(prev);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SessionFanout)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SessionFanout)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

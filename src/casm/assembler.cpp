@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "isa/isa.hpp"
+#include "sim/kernel.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -17,6 +18,9 @@ using isa::Instruction;
 using isa::Opcode;
 
 constexpr std::uint64_t kPage = sim::Memory::kPageSize;
+/// No section may outgrow the simulated address space: nothing larger could
+/// be loaded, and an unbounded `.space` would exhaust host memory instead.
+constexpr std::uint64_t kAddressSpace = sim::MachineConfig::kDefaultMemorySize;
 
 enum SectionId : int { kText = 0, kRodata = 1, kData = 2, kSectionCount = 3 };
 
@@ -220,6 +224,7 @@ class AssemblerImpl {
       if (parts.size() > 1 && !parse_int(parts[1], fill))
         fail(line_no, ".space fill must be numeric");
       if (parts.size() > 2) fail(line_no, ".space takes at most two arguments");
+      check_room(line_no, ".space", static_cast<std::uint64_t>(n));
       Statement st;
       st.kind = Statement::Kind::kRaw;
       st.line_no = line_no;
@@ -233,6 +238,9 @@ class AssemblerImpl {
       std::int64_t a = 0;
       if (!parse_int(rest, a) || a <= 0 || (a & (a - 1)) != 0)
         fail(line_no, ".align needs a power-of-two argument");
+      if (static_cast<std::uint64_t>(a) > kAddressSpace)
+        fail(line_no, ".align " + std::to_string(a) +
+                          " exceeds the simulated address space");
       max_align_ = std::max<std::uint64_t>(max_align_,
                                            static_cast<std::uint64_t>(a));
       const std::uint64_t cur = section_size_[section_];
@@ -240,6 +248,7 @@ class AssemblerImpl {
           (static_cast<std::uint64_t>(a) - cur % static_cast<std::uint64_t>(a)) %
           static_cast<std::uint64_t>(a);
       if (pad > 0) {
+        check_room(line_no, ".align", pad);
         Statement st;
         st.kind = Statement::Kind::kRaw;
         st.line_no = line_no;
@@ -269,6 +278,17 @@ class AssemblerImpl {
     if (st.section != kText)
       fail(line_no, "instructions are only allowed in .text");
     emit(st);
+  }
+
+  /// Fails unless `size` more bytes keep the current section within the
+  /// simulated address space.
+  void check_room(int line_no, const std::string& directive,
+                  std::uint64_t size) const {
+    const std::uint64_t used = section_size_[section_];
+    if (used > kAddressSpace || size > kAddressSpace - used) {
+      fail(line_no, directive + " of " + std::to_string(size) +
+                        " bytes overflows the simulated address space");
+    }
   }
 
   void emit(Statement st) {

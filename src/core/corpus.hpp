@@ -3,9 +3,12 @@
 // profiled also includes the host and other benign applications like
 // browsers, text editors, etc.").
 //
-// Benign corpus: windows from every workload (the eight MiBench-like hosts
-// plus the browser/editor-style pool) run with benign inputs at jittered
-// scales. Attack corpus: windows from standalone runs of the requested
+// Benign corpus: benign-input runs at jittered scales, round-robin over the
+// app list (the eight MiBench-like hosts first, then the browser/editor-style
+// pool) until windows_per_class windows accumulate. The list is visited in
+// order, so a small corpus stops early: at the paper config (2000 windows,
+// host_scale 400) the eight hosts alone yield ~2180 windows and no pool app
+// runs. Attack corpus: windows from standalone runs of the requested
 // Spectre variants (no perturbation — the clean signatures the defender
 // can realistically train on).
 #pragma once

@@ -135,12 +135,9 @@ DefenseMatrixResult run_defense_matrix(
   // Every cell owns one session. The session seed is derived per ATTACK —
   // not per cell — so every preset of an attack shares the same host scale,
   // and therefore the same memoized workload build and ROP plan (the
-  // mitigations only change the machine/kernel, never the binaries). The
-  // fast-reset switch only decides whether attempts roll the machine back
-  // from a snapshot or rebuild it — the drawn randomness is identical, so
-  // --snapshot=off produces the same matrix. Warming the memos on the main
-  // thread keeps the builds off the workers entirely (a no-op when fast
-  // reset is disabled).
+  // mitigations only change the machine/kernel, never the binaries).
+  // Warming the memos on the main thread keeps the builds off the workers
+  // entirely.
   for (std::size_t attack_i = 0; attack_i < attacks.size(); ++attack_i) {
     ScenarioConfig warm = attacks[attack_i].scenario;
     warm.seed = derive_seed(config.seed ^ 0xCE11, attack_i);

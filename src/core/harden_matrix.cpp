@@ -131,8 +131,7 @@ HardenMatrixResult run_harden_matrix(const HardenMatrixConfig& config) {
   // Fan out over cells; each cell runs its attempts serially against its
   // own session. Attempt seeds derive from the flat item index alone and
   // the fold walks items in index order, so the matrix is identical for
-  // any thread count (and snapshot mode, which only changes how attempts
-  // reset the machine).
+  // any thread count.
   const std::vector<std::vector<AttemptOutcome>> cell_outcomes =
       parallel_map<std::vector<AttemptOutcome>>(
           pool, n_cells, [&](std::size_t cell) {

@@ -203,7 +203,7 @@ attack::AttackConfig make_attack_config(const ScenarioConfig& config,
 }
 
 ScenarioSession::ScenarioSession(const ScenarioConfig& config)
-    : config_(config), snapshot_mode_(fast_reset_enabled()) {
+    : config_(config) {
   CRS_ENSURE(!config_.secret.empty(), "scenario needs a secret");
   CRS_ENSURE(!config_.leak_stage || config_.rop_injected,
              "leak_stage requires a ROP-injected scenario");
@@ -221,6 +221,8 @@ ScenarioSession::ScenarioSession(const ScenarioConfig& config)
   wopt_.canary = config_.canary || config_.harden.canary;
   wopt_.secret = config_.secret;
 
+  sim::MachineConfig mcfg;
+  sim::KernelConfig kcfg;
   if (config_.rop_injected) {
     host_ = memo_workload(config_.host, wopt_);
     secret_address_ = host_->symbol("host_secret");
@@ -229,35 +231,27 @@ ScenarioSession::ScenarioSession(const ScenarioConfig& config)
     // so memoized — and independent of the attack binary's contents, which
     // is what lets dynamic-perturbation attempts keep the plan.
     plan_ = memo_plan(*host_, make_recon_spec(config_), kAttackPath);
-    kcfg_.aslr = config_.aslr;
+    kcfg.aslr = config_.aslr;
   }
-  config_.mitigations.apply(mcfg_, kcfg_);
-  config_.harden.apply(kcfg_);
+  config_.mitigations.apply(mcfg, kcfg);
+  config_.harden.apply(kcfg);
   if (config_.leak_stage) {
-    probe_ = memo_probe(*host_, kcfg_, wopt_.canary);
+    probe_ = memo_probe(*host_, kcfg, wopt_.canary);
   }
-  build_machine();
+  // Every session of a machine config forks one process-wide baseline in
+  // O(metadata); campaign/matrix/serve workers share it. Nothing below
+  // touches machine state, so the session reverts straight to it.
+  machine_ = std::make_unique<sim::Machine>(*sim::shared_baseline(mcfg));
+  kernel_ = std::make_unique<sim::Kernel>(*machine_, kcfg);
+  armed_ = mitigate::arm(*kernel_, config_.mitigations);
+  if (host_) kernel_->register_binary(kHostPath, *host_);
+  if (probe_) kernel_->register_binary(kProbePath, *probe_);
   ensure_attack_binary(config_.perturb_params, secret_address_);
 }
 
-void ScenarioSession::build_machine() {
-  // With cow on, every session (and every legacy --snapshot=off rebuild)
-  // replicates from the process-wide frozen baseline for this machine
-  // config in O(metadata) instead of paying a 16 MB private build — the
-  // fan-out path campaign/matrix/serve workers share one warm baseline
-  // through. A fork is bit-identical to Machine(mcfg_), so this is a cost
-  // switch only.
-  if (cow_enabled()) {
-    machine_ = std::make_unique<sim::Machine>(*sim::shared_baseline(mcfg_));
-  } else {
-    machine_ = std::make_unique<sim::Machine>(mcfg_);
-  }
-  kernel_ = std::make_unique<sim::Kernel>(*machine_, kcfg_);
-  armed_ = mitigate::arm(*kernel_, config_.mitigations);
-  if (host_) kernel_->register_binary(kHostPath, *host_);
-  if (attack_) kernel_->register_binary(kAttackPath, *attack_);
-  if (probe_) kernel_->register_binary(kProbePath, *probe_);
-  fresh_ = true;
+void ScenarioSession::reset_machine() {
+  machine_->publish_metrics("sim.session");
+  machine_->revert();
 }
 
 void ScenarioSession::ensure_attack_binary(
@@ -290,7 +284,19 @@ ScenarioRun ScenarioSession::run_attempt(std::uint64_t seed) {
 ScenarioRun ScenarioSession::run_attempt(std::uint64_t seed,
                                          const perturb::PerturbParams& params) {
   ++attempts_;
+  ScenarioRun out;
+  try {
+    out = run_passes(seed, params);
+  } catch (...) {
+    machine_->revert();  // a failed attempt must not leak into the next one
+    throw;
+  }
+  reset_machine();
+  return out;
+}
 
+ScenarioRun ScenarioSession::run_passes(std::uint64_t seed,
+                                        const perturb::PerturbParams& params) {
   // Per-attempt jitter, reproducing run_scenario's Rng(seed) stream: the
   // scale draw was consumed at session construction, the sampling phase and
   // noise seed vary per attempt like back-to-back measurements.
@@ -300,17 +306,6 @@ ScenarioRun ScenarioSession::run_attempt(std::uint64_t seed,
   prof.window_cycles +=
       rng.next_below(std::max<std::uint64_t>(prof.window_cycles / 10, 1));
   prof.noise_seed = rng.next_u64();
-
-  if (!fresh_) {
-    if (snapshot_mode_) {
-      machine_->restore(*snap_);
-    } else {
-      build_machine();  // legacy rebuild path (--snapshot=off)
-    }
-  } else if (snapshot_mode_) {
-    snap_ = std::make_unique<sim::MachineSnapshot>(machine_->snapshot());
-  }
-  fresh_ = false;
 
   ScenarioRun out;
   const std::uint64_t kernel_seed =
@@ -343,11 +338,7 @@ ScenarioRun ScenarioSession::run_attempt(std::uint64_t seed,
       attack_target = secret_address_ + adj.image_delta;
     }
     // Roll the dirtied machine back for the exploit pass.
-    if (snapshot_mode_) {
-      machine_->restore(*snap_);
-    } else {
-      build_machine();
-    }
+    reset_machine();
   }
 
   ensure_attack_binary(params, attack_target);
@@ -443,8 +434,8 @@ std::uint64_t hash_scenario_config(const ScenarioConfig& c) {
 
 namespace {
 // Per-thread override for the session-cache size (0 = default). Each live
-// session holds a 16 MB machine, so the default stays small; serve shards
-// raise it to their routed-config count.
+// session holds a machine view plus its dirtied pages, so the default stays
+// small; serve shards raise it to their routed-config count.
 thread_local std::size_t session_cache_capacity = 0;
 }  // namespace
 
@@ -475,14 +466,8 @@ ScenarioSession& thread_session(const ScenarioConfig& config) {
       return *e.session;
     }
   }
-  while (cache.size() > capacity) {  // capacity was lowered mid-thread
-    std::size_t victim = 0;
-    for (std::size_t i = 1; i < cache.size(); ++i) {
-      if (cache[i].last_use < cache[victim].last_use) victim = i;
-    }
-    cache.erase(cache.begin() + static_cast<std::ptrdiff_t>(victim));
-  }
-  if (cache.size() >= capacity) {
+  // Room for the new entry; loops when the capacity was lowered mid-thread.
+  while (cache.size() >= capacity) {
     std::size_t victim = 0;
     for (std::size_t i = 1; i < cache.size(); ++i) {
       if (cache[i].last_use < cache[victim].last_use) victim = i;
@@ -495,7 +480,6 @@ ScenarioSession& thread_session(const ScenarioConfig& config) {
 }
 
 void warm_scenario_memo(const ScenarioConfig& config) {
-  if (!fast_reset_enabled()) return;
   // Constructing a session builds the host/plan/attack artifacts through
   // the memo caches as a side effect; the throwaway machine is the price of
   // keeping exactly one build path.

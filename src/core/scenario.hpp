@@ -12,11 +12,11 @@
 // windowed profiler, split windows by ground truth, and verify whether the
 // secret was actually exfiltrated.
 //
-// ScenarioSession is the campaign-scale fast path (DESIGN.md §10): it pays
-// the pipeline's setup — workload build, ROP recon + gadget planning,
-// attack-binary assembly, machine construction — once, snapshots the
-// pre-start machine state, and then serves run_attempt() by restoring the
-// snapshot instead of rebuilding the world. The attempt-level RNG stream is
+// ScenarioSession is the campaign-scale unit (DESIGN.md §10): it pays the
+// pipeline's setup — workload build, ROP recon + gadget planning,
+// attack-binary assembly — once, forks its machine from the process-wide
+// baseline for its machine config, and reverts the machine after every
+// attempt instead of rebuilding the world. The attempt-level RNG stream is
 // reproduced exactly, so `run_scenario(config)` and
 // `ScenarioSession(config).run_attempt(config.seed)` are bit-identical.
 #pragma once
@@ -115,18 +115,15 @@ struct ScenarioRun {
   harden::ProbeLeak leak;
 };
 
-/// Reusable fast-reset execution context for repeated attempts of one
-/// scenario. Construction runs the full setup pipeline (host workload,
-/// ROP recon/plan, attack binary — all through the content-addressed memo
-/// caches — plus machine/kernel construction and mitigation arming); each
-/// run_attempt then rolls the machine back via Machine::restore and re-seeds
-/// the kernel, making attempt N bit-identical to a fresh run_scenario with
-/// the same attempt seed and session scale.
-///
-/// When fast reset is disabled (set_fast_reset_enabled(false) or
-/// CRS_SNAPSHOT=off), run_attempt falls back to reconstructing the
-/// machine/kernel per attempt — same results, legacy speed — which is what
-/// `--snapshot=off` exercises.
+/// Reusable execution context for repeated attempts of one scenario.
+/// Construction runs the full setup pipeline (host workload, ROP
+/// recon/plan, attack binary — all through the content-addressed memo
+/// caches — plus a fork of shared_baseline(machine config), kernel
+/// construction and mitigation arming, none of which touches machine
+/// state). Each run_attempt re-seeds the kernel, runs, then publishes the
+/// machine's counters under `sim.session.*` and reverts it to the baseline,
+/// making attempt N bit-identical to a fresh run_scenario with the same
+/// attempt seed and session scale.
 ///
 /// Not thread-safe: one session belongs to one thread (see thread_session).
 class ScenarioSession {
@@ -143,22 +140,27 @@ class ScenarioSession {
 
   /// One attempt under mutated perturbation parameters (the dynamic
   /// campaign's moving target). Only the attack binary differs, and its
-  /// rebuild goes through the memo cache; host, plan and snapshot are
+  /// rebuild goes through the memo cache; host, plan and machine are
   /// reused as-is (the ROP plan does not depend on the attack binary).
   ScenarioRun run_attempt(std::uint64_t seed,
                           const perturb::PerturbParams& params);
 
   const ScenarioConfig& config() const { return config_; }
-  bool snapshot_mode() const { return snapshot_mode_; }
   std::uint64_t attempts() const { return attempts_; }
 
  private:
-  void build_machine();
+  /// The attempt itself: the leak stage's probe pass (when configured) and
+  /// the exploit pass, leaving the machine dirty.
+  ScenarioRun run_passes(std::uint64_t seed,
+                         const perturb::PerturbParams& params);
+  /// The single reset point: folds the finished pass's cache, predictor and
+  /// PMU counters into the registry under `sim.session.*` (the baseline's
+  /// are zero, so that is exactly the pass's work), then reverts.
+  void reset_machine();
   void ensure_attack_binary(const perturb::PerturbParams& params,
                             std::uint64_t target_address);
 
   ScenarioConfig config_;
-  bool snapshot_mode_;
   workloads::WorkloadOptions wopt_;
   std::shared_ptr<const sim::Program> host_;        // null when standalone
   std::shared_ptr<const rop::InjectionPlan> plan_;  // null when standalone
@@ -167,13 +169,9 @@ class ScenarioSession {
   perturb::PerturbParams attack_params_;
   std::uint64_t secret_address_ = 0;
   std::uint64_t attack_target_ = 0;
-  sim::MachineConfig mcfg_;
-  sim::KernelConfig kcfg_;
   std::unique_ptr<sim::Machine> machine_;
   std::unique_ptr<sim::Kernel> kernel_;
   mitigate::Armed armed_;
-  std::unique_ptr<sim::MachineSnapshot> snap_;
-  bool fresh_ = true;
   std::uint64_t attempts_ = 0;
 };
 
@@ -187,24 +185,23 @@ attack::AttackConfig make_attack_config(const ScenarioConfig& config,
 std::uint64_t hash_scenario_config(const ScenarioConfig& config);
 
 /// Bounded per-thread session cache: returns a live session for `config`
-/// (constructing one on first use), evicting the least-recently-used entry
-/// beyond a small capacity. Campaign drivers call this from worker threads;
-/// because a session's behaviour is a pure function of its config, results
-/// are identical for any CRS_THREADS.
+/// (constructing one on first use), evicting least-recently-used entries
+/// so at most the capacity stay live. Campaign drivers call this from
+/// worker threads; because a session's behaviour is a pure function of its
+/// config, results are identical for any CRS_THREADS.
 ScenarioSession& thread_session(const ScenarioConfig& config);
 
 /// Sets the calling thread's session-cache capacity (default 4; clamped to
 /// at least 1). Worker shards of the campaign service raise it so a shard
 /// can keep every config routed to it warm; campaign drivers keep the small
-/// default. Takes effect on the next thread_session call and evicts down
-/// immediately if lowered.
+/// default. Takes effect on the next thread_session call that builds a
+/// session, which first evicts down to make room.
 void set_session_cache_capacity(std::size_t capacity);
 
 /// Populates the workload/plan/attack memo caches for `config` on the
-/// calling thread (no-op when fast reset is off). Campaign drivers warm the
-/// caches once on the main thread before fanning out, so build work — and
-/// any trace events the builds emit — happens deterministically regardless
-/// of worker scheduling.
+/// calling thread. Campaign drivers warm the caches once on the main thread
+/// before fanning out, so build work — and any trace events the builds
+/// emit — happens deterministically regardless of worker scheduling.
 void warm_scenario_memo(const ScenarioConfig& config);
 
 /// Hit/miss counters of the scenario-level memo caches (process-wide).

@@ -282,7 +282,9 @@ void Server::worker_loop(Shard& shard) {
       try {
         outcome = core::run_job(job->spec, on_progress);
         finish_job(*job, outcome);
-      } catch (const Error& e) {
+      } catch (const std::exception& e) {
+        // Any exception, not only crs::Error: one job's std::bad_alloc
+        // must fail that job, not abort the server.
         completed_.fetch_add(1, std::memory_order_relaxed);
         bump("serve.completed");
         {

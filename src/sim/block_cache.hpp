@@ -13,7 +13,7 @@
 // bytes were decoded from, validated with an integer compare per guard on
 // every acquire. Since `Memory` bumps a page's version on every write and
 // permission change, all invalidation sources — SMC stores, execve
-// overlays, mprotect, fence-pass rewrites, and snapshot restore (which
+// overlays, mprotect, fence-pass rewrites, and Machine::revert (which
 // bumps, never rolls back) — kill stale blocks with no new hooks. `clflush`
 // of a code line additionally drops the page's blocks eagerly (including
 // blocks that *straddle into* the page from a neighbour), mirroring

@@ -123,8 +123,8 @@ class CacheLevel {
   void reset_stats() { stats_ = {}; }
 
  private:
-  // Checkpoint/restore copies levels whole and must scrub the MRU memo
-  // (a raw pointer into ways_) afterwards.
+  // Freeze/revert copies levels whole and must scrub the MRU memo (a raw
+  // pointer into ways_) afterwards.
   friend class SnapshotAccess;
 
   struct Way {
@@ -253,7 +253,7 @@ class MemoryHierarchy {
   std::string check_invariants() const;
 
  private:
-  friend class SnapshotAccess;  // checkpoint/restore (sim/snapshot.cpp)
+  friend class SnapshotAccess;  // freeze/revert (sim/snapshot.cpp)
 
   HierarchyConfig config_;
   CacheLevel l1d_;

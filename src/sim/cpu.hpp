@@ -53,7 +53,7 @@ enum class ExecEngine : std::uint8_t {
 /// Process-wide default for `CpuConfig::exec_engine`, the value every
 /// default-constructed config picks up. Wired to the tools' `--exec` flag
 /// (beats the `CRS_EXEC=interp|blocks` env var); set it before building
-/// machines. Mirrors `crs::set_fast_reset_enabled`.
+/// machines.
 ExecEngine default_exec_engine();
 void set_default_exec_engine(ExecEngine engine);
 
@@ -205,8 +205,8 @@ class Cpu {
   BlockCache* block_cache() { return bcache_.get(); }
 
  private:
-  // Checkpoint/restore (sim/snapshot.cpp) saves the registers and the
-  // counters that Cpu::reset deliberately leaves alone (cycle_, retired_,
+  // Freeze/revert (sim/snapshot.cpp) saves the registers and the counters
+  // that Cpu::reset deliberately leaves alone (cycle_, retired_,
   // spec_episodes_, mstats_).
   friend class SnapshotAccess;
   // The threaded-code engine (sim/block_exec.cpp) is the interpreter's

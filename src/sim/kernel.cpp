@@ -20,17 +20,20 @@ std::uint8_t redzone_byte(std::uint64_t addr, std::uint64_t i) {
 }
 }  // namespace
 
-Machine::Machine(const MachineConfig& config)
-    : config_(config),
-      memory_(config.memory_size),
-      hierarchy_(config.hierarchy),
-      predictor_(config.predictor),
-      pmu_(),
-      cpu_(memory_, hierarchy_, predictor_, pmu_, config.cpu) {}
-
 Kernel::Kernel(Machine& machine, const KernelConfig& config)
     : machine_(machine), config_(config), rng_(config.seed) {
   next_stack_top_ = machine_.memory().size();
+}
+
+void Kernel::reset_for_attempt(std::uint64_t seed) {
+  // Everything else that is per-run — output, exit code, load tables, stack
+  // carving — is reset by start().
+  rng_ = Rng(seed);
+  kstats_ = {};
+  hstats_ = {};
+  heap_bump_ = config_.heap_base;
+  heap_chunks_.clear();
+  ward_locks_.clear();
 }
 
 void Kernel::register_binary(const std::string& path, Program program) {

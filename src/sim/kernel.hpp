@@ -45,47 +45,42 @@ enum Syscall : std::uint64_t {
 };
 
 struct MachineConfig {
-  std::uint64_t memory_size = 16 * 1024 * 1024;
+  static constexpr std::uint64_t kDefaultMemorySize = 16 * 1024 * 1024;
+  std::uint64_t memory_size = kDefaultMemorySize;
   HierarchyConfig hierarchy;
   PredictorConfig predictor;
   CpuConfig cpu;
 };
 
-class MachineSnapshot;
 class MachineBaseline;
 
-/// Bundles the hardware: memory, caches, predictor, PMU and core.
+/// Bundles the hardware: memory, caches, predictor, PMU and core. Every
+/// machine is a view of a frozen MachineBaseline (sim/snapshot.hpp) that it
+/// can revert() to; DESIGN.md §10.
 class Machine {
  public:
+  /// A pristine machine: a view of the empty image (no page data is
+  /// allocated) with freshly constructed micro-architectural state. Defined
+  /// in sim/snapshot.cpp, like every constructor below.
   explicit Machine(const MachineConfig& config = {});
 
-  /// Copy-on-write fork: replicates `base` (a frozen machine from
-  /// Machine::freeze()) in O(touched pages) — memory pages alias the
+  /// Copy-on-write fork of `base` (from Machine::freeze() or
+  /// shared_baseline(); always held by shared_ptr): memory pages alias the
   /// baseline's shared image until first write, micro-architectural state
-  /// is copied. By the freeze/fork contract the fork is indistinguishable
-  /// from the machine `base` was frozen from. Defined in sim/snapshot.cpp.
+  /// is copied. The fork is indistinguishable from the machine `base` was
+  /// frozen from, and keeps `base` alive for revert().
   explicit Machine(const MachineBaseline& base);
 
   /// Freezes this machine's full state into an immutable, refcounted
-  /// replication baseline any number of forks (across threads) can share.
-  /// Defined in sim/snapshot.cpp; include sim/snapshot.hpp for the
-  /// MachineBaseline definition.
+  /// baseline any number of forks (across threads) can share.
   std::shared_ptr<const MachineBaseline> freeze() const;
 
-  /// Captures the full architectural + micro-architectural state (memory
-  /// pages with permissions and content versions, caches incl. partition
-  /// state and stats, PHT/BTB/RSB, PMU, CPU registers and counters) for
-  /// later rollback via restore(). Defined in sim/snapshot.cpp; include
-  /// sim/snapshot.hpp for the MachineSnapshot definition.
-  MachineSnapshot snapshot() const;
-
-  /// Rolls this machine back to `snap` (which must have been captured from
-  /// this machine) using dirty-page tracking: only pages whose content
-  /// version moved since the snapshot are rewritten, and their versions are
-  /// bumped — never rolled back — so stale decode-cache slots cannot
-  /// survive. After a restore the machine is indistinguishable from one
-  /// freshly constructed and driven to the snapshot point.
-  void restore(MachineSnapshot& snap);
+  /// Rolls this machine back to its baseline: pages whose version moved
+  /// since the fork or the last revert get the image's bytes and
+  /// permissions back (versions bumped, never rolled back — stale
+  /// decode-cache slots cannot survive), and the caches, predictor, PMU and
+  /// CPU state are copied back. Returns the number of pages reverted.
+  std::uint64_t revert();
 
   Memory& memory() { return memory_; }
   const Memory& memory() const { return memory_; }
@@ -108,6 +103,7 @@ class Machine {
   void publish_metrics(const std::string& prefix) const;
 
  private:
+  std::shared_ptr<const MachineBaseline> base_;
   MachineConfig config_;
   Memory memory_;
   MemoryHierarchy hierarchy_;
@@ -235,12 +231,12 @@ class Kernel {
                              std::uint64_t max_instructions);
 
   /// Re-arms this kernel for a fresh attempt on a machine that was just
-  /// rolled back via Machine::restore(): the RNG restarts exactly where a
+  /// rolled back via Machine::revert(): the RNG restarts exactly where a
   /// new Kernel(machine, {.seed = seed}) would, the mitigation counters
-  /// zero, and stale ward locks are forgotten (the restore already
+  /// zero, and stale ward locks are forgotten (the revert already
   /// reinstated the permissions they recorded). The binary registry and
   /// the load hook survive — registering and arming once per session is
-  /// the point of the fast-reset path. Follow with start().
+  /// the point of reverting. Follow with start().
   void reset_for_attempt(std::uint64_t seed);
 
   /// Byte stream written via SYS_WRITE since start().

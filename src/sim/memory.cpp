@@ -10,8 +10,8 @@ namespace crs::sim {
 namespace {
 
 /// The one frame every pristine page of every image aliases. Never written
-/// (forks promote before their first write), so sharing it across images,
-/// forks and threads is safe.
+/// (views promote before their first write), so sharing it across images,
+/// views and threads is safe.
 const std::uint8_t* zero_page() {
   static const std::array<std::uint8_t, Memory::kPageSize> zeros{};
   return zeros.data();
@@ -19,30 +19,31 @@ const std::uint8_t* zero_page() {
 
 }  // namespace
 
-Memory::Memory(std::uint64_t size_bytes) {
+std::shared_ptr<const MemoryImage> MemoryImage::empty(
+    std::uint64_t size_bytes) {
   CRS_ENSURE(size_bytes > 0, "memory size must be positive");
-  const std::uint64_t pages = (size_bytes + kPageSize - 1) / kPageSize;
-  bytes_.resize(pages * kPageSize, 0);
-  size_ = bytes_.size();
-  read_frames_.resize(pages);
-  write_frames_.resize(pages);
-  for (std::uint64_t p = 0; p < pages; ++p) {
-    std::uint8_t* frame = bytes_.data() + p * kPageSize;
-    read_frames_[p] = frame;
-    write_frames_[p] = frame;
-  }
-  perms_.resize(pages, kPermNone);
-  versions_.resize(pages, 1);
+  const std::uint64_t pages =
+      (size_bytes + Memory::kPageSize - 1) / Memory::kPageSize;
+  auto img = std::make_shared<MemoryImage>();
+  img->size_ = pages * Memory::kPageSize;
+  img->frames_.assign(pages, zero_page());
+  img->perms_.assign(pages, kPermNone);
+  img->versions_.assign(pages, 1);
+  return img;
 }
+
+Memory::Memory(std::uint64_t size_bytes)
+    : Memory(MemoryImage::empty(size_bytes)) {}
 
 Memory::Memory(std::shared_ptr<const MemoryImage> image)
     : base_(std::move(image)) {
-  CRS_ENSURE(base_ != nullptr, "fork from a null MemoryImage");
+  CRS_ENSURE(base_ != nullptr, "view of a null MemoryImage");
   size_ = base_->size_;
   read_frames_ = base_->frames_;
   write_frames_.assign(base_->frames_.size(), nullptr);
   perms_ = base_->perms_;
   versions_ = base_->versions_;
+  clean_versions_ = versions_;
 }
 
 std::shared_ptr<const MemoryImage> Memory::freeze() const {
@@ -65,13 +66,28 @@ std::shared_ptr<const MemoryImage> Memory::freeze() const {
   return img;
 }
 
+std::uint64_t Memory::revert() {
+  std::uint64_t reverted = 0;
+  for (std::uint64_t p = 0; p < versions_.size(); ++p) {
+    if (versions_[p] == clean_versions_[p]) continue;
+    // A page that was only remapped was never promoted: its read frame
+    // still aliases the image.
+    if (write_frames_[p] != nullptr) {
+      std::memcpy(write_frames_[p], base_->frames_[p], kPageSize);
+    }
+    perms_[p] = base_->perms_[p];
+    clean_versions_[p] = ++versions_[p];  // bump — never roll back
+    ++reverted;
+  }
+  return reverted;
+}
+
 std::uint8_t* Memory::promote(std::uint64_t page) {
   private_frames_.emplace_back();
   std::uint8_t* frame = private_frames_.back().data();
   std::memcpy(frame, read_frames_[page], kPageSize);
   read_frames_[page] = frame;
   write_frames_[page] = frame;
-  ++promoted_pages_;
   return frame;
 }
 
@@ -200,9 +216,9 @@ std::span<const std::uint8_t> Memory::read_span(std::uint64_t addr,
     }
   }
   if (contiguous) return {base, len};
-  // The span crosses frames that are not physically adjacent (possible only
-  // in COW mode, e.g. a promoted page next to a shared one): assemble a
-  // copy. Callers on the fetch fast path consume the span immediately.
+  // The span crosses frames that are not physically adjacent (e.g. a
+  // promoted page next to a shared one): assemble a copy. Callers on the
+  // fetch fast path consume the span immediately.
   span_scratch_.resize(len);
   std::uint64_t cursor = addr;
   std::size_t copied = 0;

@@ -6,18 +6,15 @@
 // pages; the CPU faults on any fetch from a non-executable page, so a naive
 // "write shellcode to the stack" attack fails while the ROP chain succeeds.
 //
-// Backing modes (DESIGN.md §15). A Memory owns either
-//  - a private flat store (the classic mode: one contiguous allocation,
-//    zero-filled at construction), or
-//  - a copy-on-write view of a refcounted frozen MemoryImage: every page
-//    starts as a read-only alias of the shared baseline frame and is
-//    promoted to a private 4 KiB frame on its first write. A fork therefore
-//    costs O(metadata) to create and O(pages actually dirtied) to run —
-//    the replication engine behind population-scale campaign fan-out.
-// Both modes sit behind one per-page frame table, so the hot accessors are
-// mode-oblivious; the per-page content versions (the decode-cache / SMC
-// coherence machinery) work unchanged because promotions happen exactly on
-// the writes that bump them.
+// Machine state (DESIGN.md §10). Every Memory is a copy-on-write view of a
+// refcounted, immutable MemoryImage: each page starts as a read-only alias of
+// the image's frame (the one static zero page for pristine pages) and is
+// promoted to a private 4 KiB frame on its first write. A view therefore
+// costs O(metadata) to create and O(pages actually dirtied) to run, and
+// revert() rolls it back to the image in O(pages dirtied since the last
+// revert). The per-page content versions (the decode-cache / SMC coherence
+// machinery) double as the dirty bitmap: promotions and reverts happen
+// exactly on the pages whose versions moved.
 #pragma once
 
 #include <array>
@@ -47,18 +44,20 @@ class Memory {
  public:
   static constexpr std::uint64_t kPageSize = 4096;
 
-  /// Private mode. Size is rounded up to a whole number of pages. Pages
-  /// start with no permissions; mapping regions is the loader's job.
+  /// A view of the empty image: size rounded up to a whole number of
+  /// pages, every page zero with no permissions (mapping regions is the
+  /// loader's job). Allocates no page data.
   explicit Memory(std::uint64_t size_bytes);
 
-  /// Copy-on-write fork: every page aliases the image's frame until first
-  /// write. The image is refcounted and immutable, so any number of forks
+  /// A view of `image`: every page aliases the image's frame until first
+  /// write. The image is refcounted and immutable, so any number of views
   /// (across threads) can share it concurrently.
   explicit Memory(std::shared_ptr<const MemoryImage> image);
 
-  // The frame tables hold raw pointers into the backing stores. Moves are
-  // safe (vector/deque moves transfer the heap buffers the pointers target)
-  // but a copy would alias the source's frames — fork via freeze() instead.
+  // The frame tables hold raw pointers into the image and the private
+  // frames. Moves are safe (vector/deque moves transfer the heap buffers the
+  // pointers target) but a copy would alias the source's private frames —
+  // fork via freeze() instead.
   Memory(const Memory&) = delete;
   Memory& operator=(const Memory&) = delete;
   Memory(Memory&&) = default;
@@ -69,6 +68,16 @@ class Memory {
   /// remapped — all alias one static zero page, so freezing a fresh 16 MiB
   /// machine stores no page data at all.
   std::shared_ptr<const MemoryImage> freeze() const;
+
+  /// Rolls every page whose version moved since the view was created (or
+  /// last reverted) back to the image's bytes and permissions; returns the
+  /// number of such pages. A promoted page keeps its private frame (the
+  /// image bytes are copied into it), so repeated attempts never grow the
+  /// private store. Versions of reverted pages are BUMPED, never rolled
+  /// back: the decode and block caches validate with a version equality
+  /// compare, so a slot decoded from the overwritten bytes can never match
+  /// the reverted page, while clean pages keep their warm slots.
+  std::uint64_t revert();
 
   std::uint64_t size() const { return size_; }
   std::uint64_t page_count() const { return perms_.size(); }
@@ -116,26 +125,10 @@ class Memory {
     return page_index < versions_.size() ? versions_[page_index] : 0;
   }
 
-  /// True when this Memory is a copy-on-write fork of a shared image.
-  bool is_cow() const { return base_ != nullptr; }
-
-  /// Pages promoted to private frames so far (0 in private mode, where
-  /// every page is private by construction but none is *promoted*).
-  std::uint64_t promoted_pages() const { return promoted_pages_; }
-
-  /// Bytes of page data this Memory owns privately (excludes the shared
-  /// image and the per-page metadata tables): the whole store in private
-  /// mode, promoted frames only in COW mode. The bench's per-session
-  /// footprint metric.
-  std::uint64_t resident_bytes() const {
-    return bytes_.size() + promoted_pages_ * kPageSize;
-  }
+  /// Pages promoted to private frames so far; each owns kPageSize bytes.
+  std::uint64_t promoted_pages() const { return private_frames_.size(); }
 
  private:
-  // Checkpoint/restore (sim/snapshot.cpp) reads and rewrites the page store
-  // directly: restores bump versions rather than rolling them back.
-  friend class SnapshotAccess;
-
   void bump_versions(std::uint64_t addr, std::uint64_t len) {
     if (len == 0) return;  // addr + len - 1 would underflow at addr == 0
     const std::uint64_t first = addr / kPageSize;
@@ -143,43 +136,47 @@ class Memory {
     for (std::uint64_t p = first; p <= last; ++p) ++versions_[p];
   }
 
-  /// COW promotion: copies the shared frame into a fresh private frame and
-  /// repoints both table entries. Only reachable in COW mode (private-mode
-  /// write_frames_ entries are never null).
+  /// Promotion: copies the shared frame into a fresh private frame and
+  /// repoints both table entries.
   std::uint8_t* promote(std::uint64_t page);
 
-  /// Writable frame for `page`, promoting on first COW write. Does NOT bump
-  /// the version; callers bump exactly as the pre-COW store did.
+  /// Writable frame for `page`, promoting on its first write. Does NOT bump
+  /// the version; callers bump it.
   std::uint8_t* frame_for_write(std::uint64_t page) {
     std::uint8_t* f = write_frames_[page];
     return f != nullptr ? f : promote(page);
   }
 
   std::uint64_t size_ = 0;
-  std::vector<std::uint8_t> bytes_;  // private-mode flat store (else empty)
-  std::shared_ptr<const MemoryImage> base_;  // COW baseline (else null)
+  std::shared_ptr<const MemoryImage> base_;  // never null
   // Promoted private frames; a deque never relocates existing elements, so
   // the frame-table pointers stay valid as promotions accumulate.
   std::deque<std::array<std::uint8_t, kPageSize>> private_frames_;
-  std::uint64_t promoted_pages_ = 0;
-  // Per-page frame tables — the one representation both modes share. A null
-  // write_frames_ entry means "shared, promote on first write".
+  // Per-page frame tables. A null write_frames_ entry means "shared, promote
+  // on first write".
   std::vector<const std::uint8_t*> read_frames_;
   std::vector<std::uint8_t*> write_frames_;
   std::vector<std::uint8_t> perms_;      // one Perm byte per page
   std::vector<std::uint32_t> versions_;  // one content version per page
+  // Per-page version at creation or the last revert: a page whose version
+  // differs is dirty.
+  std::vector<std::uint32_t> clean_versions_;
   // Scratch for read_span calls that cross non-adjacent frames.
   mutable std::vector<std::uint8_t> span_scratch_;
 };
 
 /// Immutable frozen copy of one Memory's full state, shared (refcounted)
-/// between any number of concurrent forks. Sparse: pristine pages alias a
+/// between any number of concurrent views. Sparse: pristine pages alias a
 /// single static zero page instead of owning storage.
 class MemoryImage {
  public:
   MemoryImage() = default;
   MemoryImage(const MemoryImage&) = delete;
   MemoryImage& operator=(const MemoryImage&) = delete;
+
+  /// `size_bytes` (rounded up to whole pages) of pristine pages: all zero,
+  /// no permissions, version 1. Stores no page data.
+  static std::shared_ptr<const MemoryImage> empty(std::uint64_t size_bytes);
 
   std::uint64_t size() const { return size_; }
   std::uint64_t page_count() const { return frames_.size(); }

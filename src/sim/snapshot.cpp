@@ -9,131 +9,53 @@
 
 namespace crs::sim {
 
-/// Sole holder of friend access into the sim privates the checkpoint needs:
-/// Memory's page store, CacheLevel's MRU memo, and the Cpu counters that
-/// survive Cpu::reset. Everything else restores through public copy
-/// assignment of the (value-semantic) sub-objects.
+/// Sole holder of friend access into the sim privates machine state needs:
+/// CacheLevel's MRU memo and the Cpu counters that survive Cpu::reset.
+/// Everything else copies through the public copy assignment of the
+/// (value-semantic) sub-objects.
 class SnapshotAccess {
  public:
-  static MachineSnapshot capture(const Machine& machine) {
-    MachineSnapshot snap;
-    capture_memory(machine.memory(), snap);
-    snap.hierarchy_.emplace(machine.hierarchy());
-    scrub_mru(*snap.hierarchy_);
-    snap.predictor_.emplace(machine.predictor());
-    snap.pmu_ = machine.pmu();
-    capture_cpu(machine.cpu(), snap.cpu_);
-    return snap;
-  }
-
   static std::shared_ptr<const MachineBaseline> freeze(const Machine& m) {
     auto base = std::make_shared<MachineBaseline>();
     base->config_ = m.config();
     base->image_ = m.memory().freeze();
-    base->state_ = capture(m);
+    base->hierarchy_.emplace(m.hierarchy());
+    scrub_mru(*base->hierarchy_);
+    base->predictor_.emplace(m.predictor());
+    base->pmu_ = m.pmu();
+    capture_cpu(m.cpu(), base->cpu_);
     return base;
   }
 
-  /// Second half of the fork constructor: the members are already
-  /// constructed (memory from the shared image, the rest fresh from the
-  /// config); copy the frozen micro-architectural and CPU state over them,
-  /// exactly as restore() does minus the memory diff (the image IS the
-  /// memory state).
-  static void fork_init(Machine& machine, const MachineBaseline& base) {
-    machine.hierarchy() = *base.state_.hierarchy_;
+  /// The baseline of a freshly constructed machine, built without one: the
+  /// empty image plus fresh caches and predictor; PMU and CPU state are
+  /// default-initialised exactly as a new Pmu and Cpu are.
+  static std::shared_ptr<const MachineBaseline> pristine(
+      const MachineConfig& config) {
+    auto base = std::make_shared<MachineBaseline>();
+    base->config_ = config;
+    base->image_ = MemoryImage::empty(config.memory_size);
+    base->hierarchy_.emplace(config.hierarchy);
+    base->predictor_.emplace(config.predictor);
+    return base;
+  }
+
+  /// Copies the baseline's micro-architectural and CPU state over `machine`
+  /// (its memory is the baseline's image view already): cache contents +
+  /// LRU stamps + partition state + per-level stats, the predictor tables,
+  /// PMU counters and every CPU register/counter. The decode and block
+  /// caches are deliberately NOT touched: page-version bumps already
+  /// invalidate slots for every reverted page, and slots for clean pages
+  /// stay warm across attempts (pure speed, never visible).
+  static void load_state(Machine& machine, const MachineBaseline& base) {
+    machine.hierarchy() = *base.hierarchy_;
+    // The copied MRU memo would point into the baseline's storage; the next
+    // access repopulates it through the search path.
     scrub_mru(machine.hierarchy());
-    machine.predictor() = *base.state_.predictor_;
-    machine.pmu() = base.state_.pmu_;
-    restore_cpu(machine.cpu(), base.state_.cpu_);
-  }
-
-  static void restore(Machine& machine, MachineSnapshot& snap) {
-    CRS_ENSURE(snap.hierarchy_.has_value(),
-               "restore from a default-constructed MachineSnapshot");
-    restore_memory(machine.memory(), snap);
-    // Whole-object copy-back: cache contents + LRU stamps + partition state
-    // + per-level stats, then the predictor tables and PMU counters. The
-    // copied MRU memo would point into the snapshot's dead storage, so it
-    // is scrubbed (the next access repopulates it through the search path).
-    machine.hierarchy() = *snap.hierarchy_;
-    scrub_mru(machine.hierarchy());
-    machine.predictor() = *snap.predictor_;
-    machine.pmu() = snap.pmu_;
-    restore_cpu(machine.cpu(), snap.cpu_);
-    ++snap.restore_count_;
-  }
-
- private:
-  static void capture_memory(const Memory& mem, MachineSnapshot& snap) {
-    // Versions start at 1 and every write/permission change bumps them, so
-    // version 1 means byte-for-byte pristine (zeroed, kPermNone): only
-    // touched pages need storing. The usual pre-start capture of a fresh
-    // machine stores nothing at all.
-    snap.baseline_ = mem.versions_;
-    for (std::uint64_t p = 0; p < mem.versions_.size(); ++p) {
-      if (mem.versions_[p] == 1) continue;
-      MachineSnapshot::PageImage img;
-      img.index = p;
-      img.perm = mem.perms_[p];
-      std::memcpy(img.bytes.data(), mem.read_frames_[p], Memory::kPageSize);
-      snap.pages_.push_back(std::move(img));
-    }
-  }
-
-  static void restore_memory(Memory& mem, MachineSnapshot& snap) {
-    CRS_ENSURE(snap.baseline_.size() == mem.versions_.size(),
-               "snapshot taken from a differently-sized machine");
-    std::size_t restored = 0;
-    std::size_t cursor = 0;  // pages_ is sorted by index; walk it once
-    for (std::uint64_t p = 0; p < mem.versions_.size(); ++p) {
-      if (mem.versions_[p] == snap.baseline_[p]) continue;  // clean page
-      while (cursor < snap.pages_.size() && snap.pages_[cursor].index < p) {
-        ++cursor;
-      }
-      // frame_for_write promotes shared COW pages — a restore is a write.
-      std::uint8_t* page = mem.frame_for_write(p);
-      if (cursor < snap.pages_.size() && snap.pages_[cursor].index == p) {
-        std::memcpy(page, snap.pages_[cursor].bytes.data(), Memory::kPageSize);
-        mem.perms_[p] = snap.pages_[cursor].perm;
-      } else {
-        std::memset(page, 0, Memory::kPageSize);
-        mem.perms_[p] = static_cast<std::uint8_t>(kPermNone);
-      }
-      // Bump — never roll back. The decode cache validates slots with a
-      // version equality compare; advancing monotonically guarantees no
-      // slot decoded from the overwritten bytes can match the restored
-      // page (see the header invariant).
-      ++mem.versions_[p];
-      snap.baseline_[p] = mem.versions_[p];
-      ++restored;
-    }
-    snap.last_restored_pages_ = restored;
-  }
-
-  static void scrub_mru(MemoryHierarchy& hierarchy) {
-    for (CacheLevel* level :
-         {&hierarchy.l1d_, &hierarchy.l1i_, &hierarchy.l2_}) {
-      level->mru_line_ = ~0ull;
-      level->mru_way_ = nullptr;
-    }
-  }
-
-  static void capture_cpu(const Cpu& cpu, MachineSnapshot::CpuImage& img) {
-    std::memcpy(img.regs, cpu.regs_, sizeof(img.regs));
-    std::memcpy(img.reg_ready, cpu.reg_ready_, sizeof(img.reg_ready));
-    img.pc = cpu.pc_;
-    img.cycle = cpu.cycle_;
-    img.retired = cpu.retired_;
-    img.spec_episodes = cpu.spec_episodes_;
-    img.mstats = cpu.mstats_;
-    img.halted = cpu.halted_;
-    img.fault = cpu.fault_;
-  }
-
-  static void restore_cpu(Cpu& cpu, const MachineSnapshot::CpuImage& img) {
-    // The decode cache is deliberately NOT touched: page-version bumps
-    // already invalidate slots for every restored page, and slots for
-    // clean pages stay warm across attempts (pure speed, never visible).
+    machine.predictor() = *base.predictor_;
+    machine.pmu() = base.pmu_;
+    const MachineBaseline::CpuImage& img = base.cpu_;
+    Cpu& cpu = machine.cpu();
     std::memcpy(cpu.regs_, img.regs, sizeof(img.regs));
     std::memcpy(cpu.reg_ready_, img.reg_ready, sizeof(img.reg_ready));
     cpu.pc_ = img.pc;
@@ -144,28 +66,51 @@ class SnapshotAccess {
     cpu.halted_ = img.halted;
     cpu.fault_ = img.fault;
   }
+
+ private:
+  static void scrub_mru(MemoryHierarchy& hierarchy) {
+    for (CacheLevel* level :
+         {&hierarchy.l1d_, &hierarchy.l1i_, &hierarchy.l2_}) {
+      level->mru_line_ = ~0ull;
+      level->mru_way_ = nullptr;
+    }
+  }
+
+  static void capture_cpu(const Cpu& cpu, MachineBaseline::CpuImage& img) {
+    std::memcpy(img.regs, cpu.regs_, sizeof(img.regs));
+    std::memcpy(img.reg_ready, cpu.reg_ready_, sizeof(img.reg_ready));
+    img.pc = cpu.pc_;
+    img.cycle = cpu.cycle_;
+    img.retired = cpu.retired_;
+    img.spec_episodes = cpu.spec_episodes_;
+    img.mstats = cpu.mstats_;
+    img.halted = cpu.halted_;
+    img.fault = cpu.fault_;
+  }
 };
 
-MachineSnapshot Machine::snapshot() const {
-  return SnapshotAccess::capture(*this);
-}
-
-void Machine::restore(MachineSnapshot& snap) {
-  SnapshotAccess::restore(*this, snap);
-}
+Machine::Machine(const MachineConfig& config)
+    : Machine(*SnapshotAccess::pristine(config)) {}
 
 Machine::Machine(const MachineBaseline& base)
-    : config_(base.config()),
+    : base_(base.shared_from_this()),
+      config_(base.config()),
       memory_(base.image()),
       hierarchy_(config_.hierarchy),
       predictor_(config_.predictor),
       pmu_(),
       cpu_(memory_, hierarchy_, predictor_, pmu_, config_.cpu) {
-  SnapshotAccess::fork_init(*this, base);
+  SnapshotAccess::load_state(*this, base);
 }
 
 std::shared_ptr<const MachineBaseline> Machine::freeze() const {
   return SnapshotAccess::freeze(*this);
+}
+
+std::uint64_t Machine::revert() {
+  const std::uint64_t pages = memory_.revert();
+  SnapshotAccess::load_state(*this, *base_);
+  return pages;
 }
 
 std::shared_ptr<const MachineBaseline> shared_baseline(
@@ -176,78 +121,9 @@ std::shared_ptr<const MachineBaseline> shared_baseline(
       registry;
   const std::uint64_t key = hash_machine_config(config);
   std::lock_guard<std::mutex> lock(mutex);
-  const auto it = registry.find(key);
-  if (it != registry.end()) return it->second;
-  // One full build per distinct config for the process lifetime; every
-  // replica after this is an O(metadata) fork.
-  const Machine pristine(config);
-  auto base = pristine.freeze();
-  registry.emplace(key, base);
-  return base;
-}
-
-void Kernel::reset_for_attempt(std::uint64_t seed) {
-  // Pair with Machine::restore to make a reused machine+kernel behave like
-  // freshly-constructed ones: the RNG restarts exactly where a new
-  // Kernel(machine, {.seed = seed}) would, the mitigation counters zero,
-  // and stale ward locks are forgotten (the machine restore already
-  // reinstated the page permissions they recorded). Everything else that is
-  // per-run — output, exit code, load tables, stack carving — is reset by
-  // start().
-  rng_ = Rng(seed);
-  kstats_ = {};
-  hstats_ = {};
-  heap_bump_ = config_.heap_base;
-  heap_chunks_.clear();
-  ward_locks_.clear();
-}
-
-Machine& MachinePool::acquire(const MachineConfig& config) {
-  if (cow_enabled()) {
-    return fork_from(shared_baseline(config));
-  }
-  return acquire_impl(config, nullptr);
-}
-
-Machine& MachinePool::fork_from(
-    const std::shared_ptr<const MachineBaseline>& base) {
-  return acquire_impl(base->config(), &base);
-}
-
-Machine& MachinePool::acquire_impl(
-    const MachineConfig& config,
-    const std::shared_ptr<const MachineBaseline>* base) {
-  const std::uint64_t key = hash_machine_config(config);
-  ++tick_;
-  for (Entry& e : entries_) {
-    if (e.key == key) {
-      e.last_use = tick_;
-      ++hits_;
-      e.machine->restore(*e.snapshot);
-      return *e.machine;
-    }
-  }
-  ++misses_;
-  if (entries_.size() >= capacity_ && !entries_.empty()) {
-    std::size_t victim = 0;
-    for (std::size_t i = 1; i < entries_.size(); ++i) {
-      if (entries_[i].last_use < entries_[victim].last_use) victim = i;
-    }
-    entries_.erase(entries_.begin() +
-                   static_cast<std::ptrdiff_t>(victim));
-  }
-  Entry e;
-  e.key = key;
-  e.last_use = tick_;
-  if (base != nullptr) {
-    ++forks_;
-    e.machine = std::make_unique<Machine>(**base);
-  } else {
-    e.machine = std::make_unique<Machine>(config);
-  }
-  e.snapshot = std::make_unique<MachineSnapshot>(e.machine->snapshot());
-  entries_.push_back(std::move(e));
-  return *entries_.back().machine;
+  auto& slot = registry[key];
+  if (slot == nullptr) slot = SnapshotAccess::pristine(config);
+  return slot;
 }
 
 std::uint64_t hash_machine_config(const MachineConfig& config) {

@@ -1,90 +1,37 @@
-// Machine checkpoint/restore: the execution-side half of the fast-reset
-// engine (DESIGN.md §10).
+// Machine state: image, fork, revert (DESIGN.md §10).
 //
-// `Machine::snapshot()` captures the full architectural and
-// micro-architectural state — memory pages with their permissions and
-// content versions (including ward-locked pages), cache contents, partition
-// state and per-level stats, PHT/BTB/RSB, PMU counters, and every CPU
-// register/counter — and `Machine::restore()` rolls the machine back using
-// dirty-page tracking: the per-page monotonic content versions that already
-// keep the decode cache coherent double as a dirty bitmap, so a restore
-// touches only the pages mutated since the snapshot instead of memcpy'ing
-// the whole 16 MB address space.
+// Every Machine is a view of a frozen MachineBaseline: the memory contents
+// as a refcounted sparse MemoryImage, plus the caches, predictor, PMU and CPU
+// state at freeze time. `Machine(baseline)` forks it in O(metadata);
+// `Machine(config)` forks a pristine baseline (the empty image and freshly
+// constructed micro-architectural state), so building a machine never
+// zero-fills the address space. `Machine::revert()` rolls a machine back to
+// its baseline in O(pages dirtied since the fork or the last revert): the
+// per-page monotonic content versions that keep the decode cache coherent
+// double as the dirty bitmap.
 //
-// Invariant: restore BUMPS the version of every page it rewrites (and
-// re-baselines the snapshot to the new value); it never rolls a version
-// back. The decode cache validates pre-decoded slots with a version
-// equality compare, so reusing an old version number could let slots
-// decoded from a later run's bytes appear fresh for the restored bytes.
-// Monotonically advancing versions make every restored page decode-miss
-// once and re-decode from the restored contents — self-modifying code and
-// fence-hint rewrites can never leak across a restore.
+// Invariant: revert BUMPS the version of every page it rewrites; it never
+// rolls a version back. The decode and block caches validate pre-decoded
+// slots with a version equality compare, so reusing an old version number
+// could let slots decoded from a later run's bytes appear fresh for the
+// reverted bytes. Monotonically advancing versions make every reverted page
+// decode-miss once — self-modifying code and fence-hint rewrites can never
+// leak across a revert — while clean pages keep their warm slots.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "sim/kernel.hpp"
 
 namespace crs::sim {
 
-/// Opaque checkpoint of one Machine. Created by `Machine::snapshot()`,
-/// consumed (repeatedly) by `Machine::restore()` on the SAME machine. The
-/// snapshot is mutable: each restore re-baselines its dirty-page tracking,
-/// so back-to-back attempt loops stay O(pages touched per attempt).
-class MachineSnapshot {
- public:
-  MachineSnapshot() = default;
-
-  /// Pages whose contents/permissions were already non-pristine at capture
-  /// time (zero for the usual pre-start capture of a fresh machine).
-  std::size_t stored_page_count() const { return pages_.size(); }
-  /// Pages rewritten by the most recent restore.
-  std::size_t last_restored_pages() const { return last_restored_pages_; }
-  std::uint64_t restore_count() const { return restore_count_; }
-
- private:
-  friend class SnapshotAccess;
-
-  struct PageImage {
-    std::uint64_t index = 0;
-    std::uint8_t perm = 0;
-    std::array<std::uint8_t, Memory::kPageSize> bytes{};
-  };
-
-  std::vector<PageImage> pages_;         // sorted by page index
-  std::vector<std::uint32_t> baseline_;  // per-page version at last (re)base
-  std::optional<MemoryHierarchy> hierarchy_;
-  std::optional<BranchPredictor> predictor_;
-  Pmu pmu_;
-
-  struct CpuImage {
-    std::uint64_t regs[isa::kNumRegisters] = {};
-    std::uint64_t reg_ready[isa::kNumRegisters] = {};
-    std::uint64_t pc = 0;
-    std::uint64_t cycle = 0;
-    std::uint64_t retired = 0;
-    std::uint64_t spec_episodes = 0;
-    CpuMitigationStats mstats;
-    bool halted = true;
-    Fault fault;
-  } cpu_;
-
-  std::size_t last_restored_pages_ = 0;
-  std::uint64_t restore_count_ = 0;
-};
-
-/// Frozen, shareable machine-replication baseline (DESIGN.md §15): one
-/// machine's full state — the memory contents as a refcounted sparse
-/// MemoryImage, plus caches, predictor, PMU and CPU — captured by
-/// Machine::freeze(). Immutable after creation, so any number of forks on
-/// any threads can replicate from it concurrently; a fork costs the
-/// metadata tables and the micro-architectural copy, never the 16 MB
-/// address space.
-class MachineBaseline {
+/// Frozen, shareable machine state. Immutable after creation and always
+/// held by shared_ptr (Machine::freeze, shared_baseline), so any number of
+/// forks on any threads can replicate from it concurrently and keep it
+/// alive for their reverts.
+class MachineBaseline : public std::enable_shared_from_this<MachineBaseline> {
  public:
   MachineBaseline() = default;
   MachineBaseline(const MachineBaseline&) = delete;
@@ -99,61 +46,33 @@ class MachineBaseline {
  private:
   friend class SnapshotAccess;
 
-  MachineConfig config_;
-  std::shared_ptr<const MemoryImage> image_;
-  MachineSnapshot state_;  // micro-architectural + CPU state at freeze time
-};
-
-/// Process-wide fork baseline for `config`: freezes one fresh machine per
-/// distinct config (thread-safe, built at most once) and hands out the
-/// shared baseline. Because machine construction is deterministic, a fork
-/// of this baseline is bit-identical to Machine(config) — the property the
-/// cow-equivalence tests pin.
-std::shared_ptr<const MachineBaseline> shared_baseline(
-    const MachineConfig& config);
-
-/// Per-thread pool of reusable machines keyed by config hash. `acquire`
-/// returns a machine restored to its freshly-constructed state — by the
-/// snapshot contract, indistinguishable from `Machine(config)` — paying the
-/// construction only on first use per config: a full build (16 MB
-/// zero-fill, cache/predictor allocation) with cow off, an O(metadata) fork
-/// of the shared baseline with cow on. Bounded LRU: least-recently-used
-/// entries are dropped when `capacity` distinct configs are live. The
-/// returned reference stays valid until the next acquire() evicts it, so
-/// use one machine at a time.
-class MachinePool {
- public:
-  explicit MachinePool(std::size_t capacity = 6) : capacity_(capacity) {}
-
-  Machine& acquire(const MachineConfig& config);
-
-  /// Like acquire(config), but misses replicate by forking `base` instead
-  /// of consulting the cow switch. The caller keeps the baseline alive.
-  Machine& fork_from(const std::shared_ptr<const MachineBaseline>& base);
-
-  std::size_t size() const { return entries_.size(); }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  std::uint64_t forks() const { return forks_; }
-
- private:
-  struct Entry {
-    std::uint64_t key = 0;
-    std::uint64_t last_use = 0;
-    std::unique_ptr<Machine> machine;
-    std::unique_ptr<MachineSnapshot> snapshot;
+  struct CpuImage {
+    std::uint64_t regs[isa::kNumRegisters] = {};
+    std::uint64_t reg_ready[isa::kNumRegisters] = {};
+    std::uint64_t pc = 0;
+    std::uint64_t cycle = 0;
+    std::uint64_t retired = 0;
+    std::uint64_t spec_episodes = 0;
+    CpuMitigationStats mstats;
+    bool halted = true;
+    Fault fault;
   };
 
-  Machine& acquire_impl(const MachineConfig& config,
-                        const std::shared_ptr<const MachineBaseline>* base);
-
-  std::size_t capacity_;
-  std::uint64_t tick_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t forks_ = 0;
-  std::vector<Entry> entries_;
+  MachineConfig config_;
+  std::shared_ptr<const MemoryImage> image_;
+  std::optional<MemoryHierarchy> hierarchy_;
+  std::optional<BranchPredictor> predictor_;
+  Pmu pmu_;
+  // Default-initialised exactly like a freshly constructed Cpu.
+  CpuImage cpu_;
 };
+
+/// Process-wide fork baseline for `config`: one pristine baseline per
+/// distinct config (thread-safe, built at most once). Sessions fork it, so
+/// every session of a config shares one image and one micro-architectural
+/// copy source; a fork is bit-identical to Machine(config).
+std::shared_ptr<const MachineBaseline> shared_baseline(
+    const MachineConfig& config);
 
 /// Content hashes for memo keys (support/memo.hpp) covering every field
 /// that influences simulated behaviour.

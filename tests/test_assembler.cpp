@@ -313,6 +313,23 @@ TEST(AssemblerErrors, MalformedDirectives) {
   expect_asm_error(".woops 3\n", "unknown directive '.woops'");
 }
 
+// A section larger than the simulated address space could never load; the
+// assembler refuses it up front instead of allocating it.
+TEST(AssemblerErrors, SectionsCannotOutgrowTheAddressSpace) {
+  expect_asm_error(".data\n.space 100000000000000\n",
+                   "asm line 2: .space of 100000000000000 bytes overflows "
+                   "the simulated address space");
+  expect_asm_error(".data\n.space 16000000\n.space 1000000\n",
+                   "asm line 3: .space of 1000000 bytes overflows");
+  expect_asm_error(".data\n.byte 1\n.align 4611686018427387904\n",
+                   "asm line 3: .align 4611686018427387904 exceeds the "
+                   "simulated address space");
+  expect_asm_error(".data\n.space 16777216\n.byte 1\n.align 16\n",
+                   "asm line 4: .align of 15 bytes overflows");
+  // Right at the limit is fine.
+  EXPECT_NO_THROW(assemble(".data\n.space 4096\n.align 8388608\n"));
+}
+
 TEST(AssemblerErrors, MessagesCarryTheFailingLineNumber) {
   expect_asm_error("nop\nnop\nadd r1, r2\n", "asm line 3:");
   expect_asm_error(".data\n.byte\n", "asm line 2:");

@@ -1,7 +1,7 @@
 // Threaded-code block engine: bit-identity with the interpreter, coherence
 // of the translated-block cache against every invalidation source the
-// page-version scheme covers (mid-run fence-pass rewrites, snapshot
-// restore, sibling-page invalidation of straddling blocks), and budget
+// page-version scheme covers (mid-run fence-pass rewrites, Machine::revert,
+// sibling-page invalidation of straddling blocks), and budget
 // semantics at chunked-run boundaries.
 #include <gtest/gtest.h>
 
@@ -120,22 +120,23 @@ TEST(BlockEngine, MidRunFencePassRewriteKillsWarmBlocks) {
       << "stale pre-pass blocks executed after the rewrite";
 }
 
-// Snapshot restore vs the block cache: a restore bumps page versions (never
-// rolls them back), so blocks translated from a later program's bytes must
-// die, and a restored run must be bit-identical to the original run even
-// though the block cache is warm with stale translations.
-TEST(BlockEngine, SnapshotRestoreAfterWarmupBitIdenticalToFresh) {
-  sim::Machine machine(engine_config(ExecEngine::kBlocks));
-  auto& mem = machine.memory();
+// Revert vs the block cache: a revert bumps page versions (never rolls them
+// back), so blocks translated from a later program's bytes must die, and a
+// reverted run must be bit-identical to the original run even though the
+// block cache is warm with stale translations.
+TEST(BlockEngine, RevertAfterWarmupBitIdenticalToFresh) {
+  sim::Machine builder(engine_config(ExecEngine::kBlocks));
+  auto& bmem = builder.memory();
   const std::uint64_t base = 0x1000;
-  mem.set_permissions(base, Memory::kPageSize,
-                      static_cast<sim::Perm>(sim::kPermRW | sim::kPermExec));
-  put(mem, base + 0x00, isa::Opcode::kMovImm, 1, 0, 0, 11);
-  put(mem, base + 0x08, isa::Opcode::kAddImm, 1, 1, 0, 3);
-  put(mem, base + 0x10, isa::Opcode::kHalt);
+  bmem.set_permissions(base, Memory::kPageSize,
+                       static_cast<sim::Perm>(sim::kPermRW | sim::kPermExec));
+  put(bmem, base + 0x00, isa::Opcode::kMovImm, 1, 0, 0, 11);
+  put(bmem, base + 0x08, isa::Opcode::kAddImm, 1, 1, 0, 3);
+  put(bmem, base + 0x10, isa::Opcode::kHalt);
 
-  // Checkpoint with program A in place, then run it cold.
-  sim::MachineSnapshot snap = machine.snapshot();
+  // Freeze with program A in place, then run a fork of it cold.
+  sim::Machine machine(*builder.freeze());
+  auto& mem = machine.memory();
   machine.cpu().reset(base, 0x8000);
   EXPECT_EQ(machine.cpu().run(100), StopReason::kHalted);
   const auto fresh = std::tuple{machine.cpu().reg(1), machine.cpu().retired(),
@@ -151,13 +152,13 @@ TEST(BlockEngine, SnapshotRestoreAfterWarmupBitIdenticalToFresh) {
 
   // Roll back to A and re-run: warm-but-stale blocks must retranslate, and
   // the run must reproduce the fresh run's counters exactly.
-  machine.restore(snap);
+  machine.revert();
   machine.cpu().reset(base, 0x8000);
   EXPECT_EQ(machine.cpu().run(100), StopReason::kHalted);
   const auto restored = std::tuple{
       machine.cpu().reg(1), machine.cpu().retired(), machine.cpu().cycle(),
       machine.pmu().snapshot()};
-  EXPECT_EQ(restored, fresh) << "stale block of B survived the restore";
+  EXPECT_EQ(restored, fresh) << "stale block of B survived the revert";
   EXPECT_GT(machine.cpu().block_cache()->stats().retranslations, 0u);
 }
 

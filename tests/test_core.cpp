@@ -108,6 +108,40 @@ TEST(Scenario, SeedsJitterTheTraces) {
   EXPECT_NE(ra.profile.windows.size(), rb.profile.windows.size());
 }
 
+// thread_session keeps at most `capacity` sessions per thread and evicts
+// the least recently used. A session's attempt count tells a cached session
+// from a rebuilt one.
+TEST(Scenario, ThreadSessionEvictsLeastRecentlyUsed) {
+  const auto config = [](std::uint64_t seed) {
+    ScenarioConfig c;
+    c.host_scale = 200;
+    c.seed = seed;
+    return c;
+  };
+  const auto touch = [&](std::uint64_t seed) {
+    ScenarioSession& s = thread_session(config(seed));
+    const std::uint64_t before = s.attempts();
+    (void)s.run_attempt(seed);
+    return before;  // 0 = freshly built, >0 = served from the cache
+  };
+  set_session_cache_capacity(2);
+  EXPECT_EQ(touch(9001), 0u);
+  EXPECT_EQ(touch(9002), 0u);
+  EXPECT_EQ(touch(9001), 1u);  // hit; 9002 is now least recently used
+  EXPECT_EQ(touch(9003), 0u);  // evicts 9002
+  EXPECT_EQ(touch(9001), 2u);
+  EXPECT_EQ(touch(9002), 0u);  // rebuilt; evicts 9003
+  EXPECT_EQ(touch(9001), 3u);
+
+  // Lowering the capacity mid-thread evicts down on the next call that
+  // builds a session: only the newcomer survives.
+  set_session_cache_capacity(1);
+  EXPECT_EQ(touch(9004), 0u);
+  EXPECT_EQ(touch(9004), 1u);
+  EXPECT_EQ(touch(9001), 0u);
+  set_session_cache_capacity(0);  // back to the default
+}
+
 TEST(Corpus, BenignCorpusHasRequestedShape) {
   const auto& d = benign_corpus();
   EXPECT_EQ(d.size(), 250u);

@@ -201,23 +201,25 @@ TEST(DecodeCache, OnOffBehaviourallyIdentical) {
   EXPECT_EQ(with, run_one(attack_prog, false));
 }
 
-// Snapshot restore vs the decode cache: restoring a page that a later run
-// rewrote (SMC-style) must bump the page version — never roll it back — so
-// slots decoded from the later bytes can never be served against the
-// restored bytes.
-TEST(DecodeCache, SnapshotRestoreBumpsVersionsSoStaleSlotsDie) {
-  sim::Machine machine;  // decode cache on by default
-  auto& mem = machine.memory();
+// Revert vs the decode cache: reverting a page that a later run rewrote
+// (SMC-style) must bump the page version — never roll it back — so slots
+// decoded from the later bytes can never be served against the reverted
+// bytes.
+TEST(DecodeCache, RevertBumpsVersionsSoStaleSlotsDie) {
+  sim::Machine builder;  // decode cache on by default
   const std::uint64_t base = 0x1000;
-  mem.set_permissions(base, Memory::kPageSize,
-                      static_cast<sim::Perm>(sim::kPermRW | sim::kPermExec));
-  put(mem, base + 0x00, isa::Opcode::kMovImm, 1, 0, 0, 11);
-  put(mem, base + 0x08, isa::Opcode::kHalt);
+  builder.memory().set_permissions(
+      base, Memory::kPageSize,
+      static_cast<sim::Perm>(sim::kPermRW | sim::kPermExec));
+  put(builder.memory(), base + 0x00, isa::Opcode::kMovImm, 1, 0, 0, 11);
+  put(builder.memory(), base + 0x08, isa::Opcode::kHalt);
 
-  // Checkpoint with program A in place, then execute it (populating the
-  // decode cache with A's slots at the current page version).
-  sim::MachineSnapshot snap = machine.snapshot();
-  EXPECT_EQ(snap.stored_page_count(), 1u);
+  // Freeze with program A in place, then execute a fork of it (populating
+  // the decode cache with A's slots at the current page version).
+  const auto frozen = builder.freeze();
+  EXPECT_EQ(frozen->image()->stored_page_count(), 1u);
+  sim::Machine machine(*frozen);
+  auto& mem = machine.memory();
   machine.cpu().reset(base, 0x8000);
   EXPECT_EQ(machine.cpu().run(100), StopReason::kHalted);
   EXPECT_EQ(machine.cpu().reg(1), 11u);
@@ -229,14 +231,13 @@ TEST(DecodeCache, SnapshotRestoreBumpsVersionsSoStaleSlotsDie) {
   EXPECT_EQ(machine.cpu().run(100), StopReason::kHalted);
   EXPECT_EQ(machine.cpu().reg(1), 22u);
 
-  // Roll back to A. The restored page's version must be strictly greater
-  // than anything the cache has seen, forcing a re-decode of A's bytes.
-  machine.restore(snap);
-  EXPECT_EQ(snap.last_restored_pages(), 1u);
+  // Revert to A. The reverted page's version must be strictly greater than
+  // anything the cache has seen, forcing a re-decode of A's bytes.
+  EXPECT_EQ(machine.revert(), 1u);
   EXPECT_GT(mem.page_version(base / Memory::kPageSize), version_b);
   machine.cpu().reset(base, 0x8000);
   EXPECT_EQ(machine.cpu().run(100), StopReason::kHalted);
-  EXPECT_EQ(machine.cpu().reg(1), 11u) << "stale decode of B survived restore";
+  EXPECT_EQ(machine.cpu().reg(1), 11u) << "stale decode of B survived revert";
 }
 
 }  // namespace

@@ -1,51 +1,27 @@
-// Copy-on-write machine forking: the replication contract.
+// Machine state: fork and revert, the one oracle.
 //
-// The fork engine hangs on one promise — a machine forked from a frozen
-// baseline is indistinguishable from a freshly constructed one, and
-// therefore `--cow` is a cost switch, not a results switch. These tests pin
-// that promise at every layer: raw machine runs, scenario sessions,
-// defense-matrix and harden-sweep CSV bytes across cow × snapshot × thread
-// counts, and the MachinePool's LRU behaviour (bounded entries, bounded
-// shared-image refcounts) under fork churn.
+// Every Machine is a view of a frozen baseline. The design hangs on one
+// promise — a fork, the same fork after any number of reverts, and
+// Machine(config) are indistinguishable, so sessions, pools of attempts and
+// fresh machines all reproduce the golden traces. These tests pin that
+// promise on raw machine runs (a real workload and the fuzz corpus,
+// self-modifying programs included), sibling isolation, and a long revert
+// soak that bounds private frames and shared-image references.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
-#include "core/defense_matrix.hpp"
-#include "core/harden_matrix.hpp"
-#include "core/report.hpp"
-#include "core/scenario.hpp"
+#include "casm/assembler.hpp"
+#include "casm/runtime.hpp"
+#include "fuzz/generator.hpp"
 #include "sim/snapshot.hpp"
-#include "support/memo.hpp"
 #include "support/parallel.hpp"
+#include "support/rng.hpp"
 #include "workloads/workloads.hpp"
 
 namespace crs {
 namespace {
-
-/// Scoped cow-mode override (restores the previous mode on exit).
-class CowMode {
- public:
-  explicit CowMode(bool enabled) : prev_(cow_enabled()) {
-    set_cow_enabled(enabled);
-  }
-  ~CowMode() { set_cow_enabled(prev_); }
-
- private:
-  bool prev_;
-};
-
-class FastResetMode {
- public:
-  explicit FastResetMode(bool enabled) : prev_(fast_reset_enabled()) {
-    set_fast_reset_enabled(enabled);
-  }
-  ~FastResetMode() { set_fast_reset_enabled(prev_); }
-
- private:
-  bool prev_;
-};
 
 /// Everything observable about one raw kernel run of a real workload.
 std::string machine_fingerprint(sim::Machine& machine) {
@@ -65,35 +41,81 @@ std::string machine_fingerprint(sim::Machine& machine) {
   return os.str();
 }
 
-TEST(MachineFork, ForkedRunMatchesFreshRunBitForBit) {
+/// Everything observable about a fuzz-corpus program's run on `machine`.
+/// Self-modifying programs get writable text, as the fuzz differ gives them.
+std::string fuzz_fingerprint(sim::Machine& machine, const sim::Program& prog,
+                             bool smc) {
+  sim::Kernel kernel(machine);
+  kernel.register_binary("/bin/fuzz", prog);
+  kernel.start_with_strings("/bin/fuzz", {"fuzz"});
+  if (smc) {
+    const auto& img = kernel.main_image();
+    const auto page = sim::Memory::kPageSize;
+    const auto lo = img.lo / page * page;
+    const auto hi = (img.hi + page - 1) / page * page;
+    machine.memory().set_permissions(
+        lo, hi - lo,
+        static_cast<sim::Perm>(sim::kPermRead | sim::kPermWrite |
+                               sim::kPermExec));
+  }
+  const sim::StopReason stop = kernel.run(2'000'000);
+  std::ostringstream os;
+  os << static_cast<int>(stop) << '|' << kernel.output_string() << '|'
+     << machine.cpu().retired() << '|' << machine.cpu().cycle();
+  for (std::size_t e = 0; e < sim::kEventCount; ++e) {
+    os << ',' << machine.pmu().count(static_cast<sim::Event>(e));
+  }
+  for (int r = 0; r < isa::kNumRegisters; ++r) {
+    os << ',' << machine.cpu().reg(r);
+  }
+  return os.str();
+}
+
+TEST(MachineFork, ForkRevertsAndFreshBuildAgreeBitForBit) {
   const sim::MachineConfig config;
   std::string fresh;
   {
     sim::Machine machine(config);
     fresh = machine_fingerprint(machine);
   }
-  const auto base = sim::shared_baseline(config);
-  for (int i = 0; i < 2; ++i) {
-    sim::Machine fork(*base);
-    EXPECT_TRUE(fork.memory().is_cow());
-    EXPECT_EQ(fork.memory().resident_bytes(), 0u);  // nothing dirtied yet
-    EXPECT_EQ(machine_fingerprint(fork), fresh) << "fork " << i;
-    // The run dirtied only the pages it touched, not the address space.
-    EXPECT_GT(fork.memory().promoted_pages(), 0u);
-    EXPECT_LT(fork.memory().resident_bytes(), config.memory_size / 2);
+  sim::Machine fork(*sim::shared_baseline(config));
+  EXPECT_EQ(fork.memory().promoted_pages(), 0u);  // nothing dirtied yet
+  EXPECT_EQ(machine_fingerprint(fork), fresh);
+  // The run dirtied only the pages it touched, not the address space.
+  const std::uint64_t promoted = fork.memory().promoted_pages();
+  EXPECT_GT(promoted, 0u);
+  EXPECT_LT(promoted * sim::Memory::kPageSize, config.memory_size / 2);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_GT(fork.revert(), 0u);
+    EXPECT_EQ(machine_fingerprint(fork), fresh) << "revert " << i;
   }
+  // Reverts reuse the promoted frames instead of allocating new ones.
+  EXPECT_EQ(fork.memory().promoted_pages(), promoted);
 }
 
-TEST(MachineFork, SnapshotRestoreWorksOnAFork) {
+TEST(MachineFork, FuzzCorpusAgreesAcrossFreshForkAndReverts) {
+  fuzz::GeneratorOptions options;
+  options.allow_smc = true;
   const sim::MachineConfig config;
-  sim::Machine fork(*sim::shared_baseline(config));
-  sim::MachineSnapshot snap = fork.snapshot();
-  EXPECT_EQ(snap.stored_page_count(), 0u);  // fork of a pristine baseline
-
-  const std::string first = machine_fingerprint(fork);
-  fork.restore(snap);
-  EXPECT_GT(snap.last_restored_pages(), 0u);
-  EXPECT_EQ(machine_fingerprint(fork), first);  // restored ≡ fresh fork
+  sim::Machine reused(*sim::shared_baseline(config));
+  int smc_programs = 0;
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    Rng rng(derive_seed(0xF00D, i));
+    const fuzz::FuzzProgram prog = fuzz::generate_program(rng, options);
+    const sim::Program binary =
+        casm::assemble(prog.source() + casm::runtime_library(),
+                       {.name = "fuzz", .link_base = 0x10000});
+    smc_programs += prog.uses_smc ? 1 : 0;
+    sim::Machine fresh(config);
+    const std::string expected =
+        fuzz_fingerprint(fresh, binary, prog.uses_smc);
+    // `reused` still holds the previous program's bytes and warm decode and
+    // block caches: the revert must leave none of it visible.
+    reused.revert();
+    EXPECT_EQ(fuzz_fingerprint(reused, binary, prog.uses_smc), expected)
+        << "program " << i;
+  }
+  EXPECT_GT(smc_programs, 0) << "corpus never exercised self-modifying code";
 }
 
 TEST(MachineFork, SiblingForksDivergeIndependently) {
@@ -111,151 +133,54 @@ TEST(MachineFork, SiblingForksDivergeIndependently) {
   EXPECT_EQ(c.memory().read_u64(0x1000), 0u);
 }
 
-core::ScenarioConfig fork_scenario() {
-  core::ScenarioConfig config;
-  config.host = "basicmath";
-  config.host_scale = 300;
-  config.secret = "FORK-SECRET-16BB";
-  config.rop_injected = true;
-  config.perturb = true;
-  config.seed = 101;
-  return config;
+TEST(MachineFork, FrozenStateForksAndRevertsToTheFreezePoint) {
+  sim::Machine machine;
+  machine.memory().set_permissions(0x1000, sim::Memory::kPageSize,
+                                   sim::kPermRW);
+  machine.memory().write_u64(0x1000, 0x42);
+  machine.pmu().add(sim::Event::kCycles, 7);
+  const auto base = machine.freeze();
+
+  sim::Machine fork(*base);
+  EXPECT_EQ(fork.memory().read_u64(0x1000), 0x42u);
+  EXPECT_EQ(fork.pmu().count(sim::Event::kCycles), 7u);
+  fork.memory().write_u64(0x1000, 0x43);
+  fork.memory().set_permissions(0x1000, sim::Memory::kPageSize, sim::kPermNone);
+  fork.pmu().add(sim::Event::kCycles, 1);
+  EXPECT_EQ(fork.revert(), 1u);
+  EXPECT_EQ(fork.memory().read_u64(0x1000), 0x42u);
+  EXPECT_EQ(fork.memory().permissions_at(0x1000), sim::kPermRW);
+  EXPECT_EQ(fork.pmu().count(sim::Event::kCycles), 7u);
 }
 
-std::string scenario_fingerprint(const core::ScenarioRun& run) {
-  std::ostringstream os;
-  os << core::windows_to_csv(run.profile.windows);
-  os << run.attack_launched << ':' << run.secret_recovered << ':'
-     << run.recovered << ':' << run.host_ipc << ':' << run.profile.cycles
-     << ':' << run.profile.instructions;
-  return os.str();
-}
-
-TEST(CowEquivalence, ScenarioIdenticalAcrossCowAndSnapshotModes) {
-  const core::ScenarioConfig config = fork_scenario();
-  std::string expected;
-  {
-    CowMode cow_off(false);
-    FastResetMode snap_off(false);
-    expected = scenario_fingerprint(core::run_scenario(config));
-  }
-  const bool grid[][2] = {{true, true}, {true, false}, {false, true}};
-  for (const auto& [cow, snap] : grid) {
-    CowMode c(cow);
-    FastResetMode f(snap);
-    EXPECT_EQ(scenario_fingerprint(core::run_scenario(config)), expected)
-        << "cow=" << cow << " snapshot=" << snap;
-  }
-}
-
-TEST(CowEquivalence, DefenseMatrixBytesIdenticalCowOnOff) {
-  core::DefenseMatrixConfig config;
-  config.quick = true;
-  config.seed = 33;
-  config.host_scale = 600;
-  config.presets = {"none", "lfence-bounds"};
-
-  const auto csv_at = [&](bool cow, unsigned threads) {
-    CowMode c(cow);
-    set_thread_override(threads);
-    const std::string csv = core::matrix_csv(core::run_defense_matrix(config));
-    set_thread_override(0);
-    return csv;
-  };
-  const std::string expected = csv_at(false, 1);
-  EXPECT_EQ(csv_at(true, 1), expected);
-  EXPECT_EQ(csv_at(true, 2), expected);
-  EXPECT_EQ(csv_at(true, 8), expected);
-  EXPECT_EQ(csv_at(false, 8), expected);
-}
-
-TEST(CowEquivalence, HardenSweepBytesIdenticalCowOnOff) {
-  core::HardenMatrixConfig config;
-  config.quick = true;
-  config.seed = 44;
-  config.host_scale = 600;
-  config.presets = {"none", "canary"};
-
-  const auto csv_at = [&](bool cow, unsigned threads) {
-    CowMode c(cow);
-    set_thread_override(threads);
-    const std::string csv =
-        core::harden_matrix_csv(core::run_harden_matrix(config));
-    set_thread_override(0);
-    return csv;
-  };
-  const std::string expected = csv_at(false, 1);
-  EXPECT_EQ(csv_at(true, 2), expected);
-  EXPECT_EQ(csv_at(true, 1), expected);
-}
-
-// --- satellite: MachinePool LRU under fork churn ------------------------
-
-TEST(MachinePoolFork, PoolAndImageRefcountsStayBoundedUnderChurn) {
-  CowMode cow_on(true);
-  FastResetMode on(true);
-
-  sim::MachineConfig configs[3];
-  configs[1].cpu.decode_cache = false;
-  configs[2].memory_size = 8 * 1024 * 1024;
-  const auto base0 = sim::shared_baseline(configs[0]);
-  // Steady-state references: registry + our handle here. Live forks add
-  // one each; evicted/destroyed forks must give theirs back.
-  const long idle = base0->image_use_count();
-
-  sim::MachinePool pool(2);  // smaller than the config set → constant churn
-  for (int cycle = 0; cycle < 3000; ++cycle) {
-    sim::Machine& m = pool.acquire(configs[cycle % 3]);
-    // Dirty a page so forks allocate (and must release) private frames.
-    m.memory().write_u64(64, static_cast<std::uint64_t>(cycle));
-    ASSERT_LE(pool.size(), 2u);
-    // At most `capacity` pooled forks of this baseline can be live.
-    ASSERT_LE(base0->image_use_count(), idle + 2);
-  }
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_GT(pool.forks(), 0u);
-  // Round-robin over capacity+1 configs evicts every time; re-acquiring the
-  // most recent config is the pooled-fork hit path (restore, not re-fork).
-  const std::uint64_t forks_before = pool.forks();
-  (void)pool.acquire(configs[2]);
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.forks(), forks_before);
-  // Pool death releases every fork's image reference.
-  {
-    sim::MachinePool ephemeral(4);
-    (void)ephemeral.acquire(configs[0]);
-    EXPECT_EQ(base0->image_use_count(), idle + 1);
-  }
-  EXPECT_EQ(base0->image_use_count(), idle);
-}
-
-TEST(MachinePoolFork, AcquiredForkIsRestoredToPristine) {
-  CowMode cow_on(true);
-  FastResetMode on(true);
-  sim::MachinePool pool(2);
+// A campaign-length revert loop: the private store and the shared image's
+// reference count must stay bounded, however many attempts run and however
+// many sibling forks come and go.
+TEST(MachineFork, RevertSoakKeepsFramesAndImageReferencesBounded) {
   const sim::MachineConfig config;
-
-  sim::Machine& m = pool.acquire(config);
-  EXPECT_TRUE(m.memory().is_cow());
-  m.memory().set_permissions(0, sim::Memory::kPageSize, sim::kPermRW);
-  m.memory().write_u64(64, 0xDEADBEEF);
-
-  sim::Machine& m2 = pool.acquire(config);
-  EXPECT_EQ(&m2, &m);  // pooled fork reused...
-  EXPECT_EQ(m2.memory().read_u64(64), 0u);  // ...and rolled back
-  EXPECT_EQ(m2.memory().permissions_at(0), sim::kPermNone);
-  EXPECT_GT(m2.memory().page_version(0), 1u);  // versions only advance
-}
-
-TEST(CowConfigReporting, BenchConfigJsonCarriesCowState) {
-  {
-    CowMode on(true);
-    EXPECT_NE(core::bench_config_json().find("\"cow\":\"on\""),
-              std::string::npos);
+  const auto base = sim::shared_baseline(config);
+  // Steady-state references: registry + our handle here. Live forks add
+  // one each; destroyed forks must give theirs back.
+  const long idle = base->image_use_count();
+  sim::Machine machine(*base);
+  constexpr std::uint64_t kPages = 8;
+  for (int attempt = 0; attempt < 3000; ++attempt) {
+    const std::uint64_t page = static_cast<std::uint64_t>(attempt) % kPages;
+    machine.memory().write_u64(page * sim::Memory::kPageSize + 64,
+                               static_cast<std::uint64_t>(attempt));
+    machine.memory().set_permissions(0, sim::Memory::kPageSize, sim::kPermRW);
+    {
+      sim::Machine sibling(*base);
+      sibling.memory().write_u64(64, 1);
+      ASSERT_EQ(base->image_use_count(), idle + 2);
+    }
+    ASSERT_EQ(machine.revert(), page == 0 ? 1u : 2u);
+    ASSERT_EQ(machine.memory().read_u64(page * sim::Memory::kPageSize + 64),
+              0u);
+    ASSERT_LE(machine.memory().promoted_pages(), kPages);
   }
-  CowMode off(false);
-  EXPECT_NE(core::bench_config_json().find("\"cow\":\"off\""),
-            std::string::npos);
+  EXPECT_EQ(machine.memory().promoted_pages(), kPages);
+  EXPECT_EQ(base->image_use_count(), idle + 1);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 //    ROP chain runs, a heap overflow tears a redzone and faults on free,
 //  - the speculative bypass works: the probe binary leaks base delta,
 //    canary value and stack pointer that match the kernel's ground truth,
-//  - the scenario layer composes: hardened sessions restore ≡ fresh, and
+//  - the scenario layer composes: hardened sessions revert ≡ fresh, and
 //    the leak-parameterized injection still lands under full hardening.
 #include <gtest/gtest.h>
 
@@ -304,7 +304,7 @@ core::ScenarioConfig hardened_leak_scenario() {
 }
 
 /// Everything the hardening layer adds to a run, serialised for exact
-/// restored-vs-fresh comparison.
+/// reverted-vs-fresh comparison.
 std::string harden_fingerprint(const core::ScenarioRun& run) {
   std::ostringstream os;
   os << run.profile.cycles << ':' << run.profile.instructions << ':'
@@ -381,7 +381,7 @@ TEST(HardenMatrix, GridSeparatesClassicFromSpeculative) {
             r.attacks.size() * r.presets.size());
 }
 
-TEST(HardenScenario, SessionRestoreMatchesFresh) {
+TEST(HardenScenario, SessionRevertMatchesFresh) {
   const core::ScenarioConfig cfg = hardened_leak_scenario();
   core::ScenarioSession session(cfg);
   const std::string first = harden_fingerprint(session.run_attempt(cfg.seed));

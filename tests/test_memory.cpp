@@ -117,7 +117,6 @@ TEST(MemoryCow, ForkMatchesSourceBitForBit) {
 
   Memory fork(img);
   EXPECT_EQ(fork.size(), m.size());
-  EXPECT_TRUE(fork.is_cow());
   EXPECT_EQ(fork.read_u64(64), 0xABCDEFull);
   EXPECT_EQ(fork.read_u8(Memory::kPageSize + 5), 0x77);
   EXPECT_EQ(fork.permissions_at(0), kPermRX);
@@ -202,16 +201,35 @@ TEST(MemoryCow, CrossPageWordAccessesWork) {
   EXPECT_GT(fork.page_version(1), 1u);
 }
 
-TEST(MemoryCow, ResidentBytesTracksPromotionsOnly) {
-  Memory priv(16 * Memory::kPageSize);
-  EXPECT_EQ(priv.resident_bytes(), 16 * Memory::kPageSize);
+TEST(MemoryCow, FreshMemoryOwnsNoPageDataUntilWritten) {
+  Memory m(16 * Memory::kPageSize);  // a view of the empty image
+  EXPECT_EQ(m.promoted_pages(), 0u);
+  EXPECT_EQ(m.read_u64(3 * Memory::kPageSize), 0u);
+  m.write_u8(0, 1);
+  m.write_u8(5 * Memory::kPageSize, 1);
+  EXPECT_EQ(m.promoted_pages(), 2u);
+}
 
-  const auto img = priv.freeze();
-  Memory fork(img);
-  EXPECT_EQ(fork.resident_bytes(), 0u);
-  fork.write_u8(0, 1);
-  fork.write_u8(5 * Memory::kPageSize, 1);
-  EXPECT_EQ(fork.resident_bytes(), 2 * Memory::kPageSize);
+TEST(MemoryRevert, RestoresDirtyPagesAndBumpsTheirVersions) {
+  Memory m(4 * Memory::kPageSize);
+  m.set_permissions(0, Memory::kPageSize, kPermRX);
+  m.write_u64(64, 0xABCD);
+  Memory fork(m.freeze());
+  const std::uint32_t clean_v = fork.page_version(3);
+
+  fork.write_u64(64, 0x1111);                                 // page 0
+  fork.set_permissions(Memory::kPageSize, 8, kPermRW);        // page 1
+  fork.write_u8(2 * Memory::kPageSize, 0x22);                 // page 2
+  const std::uint32_t dirty_v = fork.page_version(0);
+  EXPECT_EQ(fork.revert(), 3u);
+  EXPECT_EQ(fork.read_u64(64), 0xABCDull);
+  EXPECT_EQ(fork.permissions_at(0), kPermRX);
+  EXPECT_EQ(fork.permissions_at(Memory::kPageSize), kPermNone);
+  EXPECT_EQ(fork.read_u8(2 * Memory::kPageSize), 0);
+  // Versions only ever advance; clean pages keep theirs.
+  EXPECT_GT(fork.page_version(0), dirty_v);
+  EXPECT_EQ(fork.page_version(3), clean_v);
+  EXPECT_EQ(fork.revert(), 0u);  // nothing moved since
 }
 
 TEST(Memory, DepIsExpressible) {

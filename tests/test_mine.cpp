@@ -143,16 +143,11 @@ TEST(MineProperties, MinedSetByteIdenticalForAnyThreadCount) {
   EXPECT_NE(csvs[0].find("leak"), std::string::npos);
 }
 
-TEST(MineProperties, MinedSetByteIdenticalWithMemoizedReconOff) {
+TEST(MineProperties, MinedSetByteIdenticalOnMemoReplay) {
   const auto opt = small_corpus();
   const std::string memoized = mine::corpus_csv(mine::mine_corpus(opt));
   const auto stats_before = mine::mine_memo_stats();
-  const bool was_enabled = fast_reset_enabled();
-  set_fast_reset_enabled(false);
-  const std::string rebuilt = mine::corpus_csv(mine::mine_corpus(opt));
-  set_fast_reset_enabled(was_enabled);
-  EXPECT_EQ(memoized, rebuilt);
-  // With memoization back on, re-mining the same corpus is pure cache hits.
+  // Re-mining the same corpus is pure cache hits.
   const std::string replayed = mine::corpus_csv(mine::mine_corpus(opt));
   EXPECT_EQ(memoized, replayed);
   const auto stats_after = mine::mine_memo_stats();

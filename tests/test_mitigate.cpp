@@ -320,15 +320,13 @@ TEST(DefenseE2E, WardSplitStopsCrSpectreCrossImageLeak) {
   EXPECT_EQ(defended.profile.stop, StopReason::kHalted);
 }
 
-// Snapshot restore across the heaviest state-mutating defenses: a ward-split
-// run leaves locked/unlocked page-permission churn behind and the fence pass
-// rewrites the host's code pages at load time. Restoring over that wreckage
+// Revert across the heaviest state-mutating defenses: a ward-split run
+// leaves locked/unlocked page-permission churn behind and the fence pass
+// rewrites the host's code pages at load time. Reverting over that wreckage
 // must reproduce the exact pre-start permissions and contents (with page
 // versions strictly advanced), so a session's second attempt is
 // byte-identical to a fresh machine's first.
-TEST(DefenseE2E, SnapshotRestoreReproducesWardSplitAndFenceRuns) {
-  const bool prev = fast_reset_enabled();
-  set_fast_reset_enabled(true);
+TEST(DefenseE2E, RevertReproducesWardSplitAndFenceRuns) {
   core::ScenarioConfig cfg;
   cfg.variant = attack::SpectreVariant::kPht;
   cfg.rop_injected = true;
@@ -336,7 +334,7 @@ TEST(DefenseE2E, SnapshotRestoreReproducesWardSplitAndFenceRuns) {
   cfg.secret = "S3CRET";
   cfg.seed = 11;
   // full = ward-split + fence rewrite + partition + flush hygiene: every
-  // restore-sensitive mitigation at once.
+  // revert-sensitive mitigation at once.
   cfg.mitigations = mitigate::preset("full");
 
   const auto fingerprint = [](const core::ScenarioRun& run) {
@@ -350,10 +348,10 @@ TEST(DefenseE2E, SnapshotRestoreReproducesWardSplitAndFenceRuns) {
 
   core::ScenarioSession session(cfg);
   const core::ScenarioRun first = session.run_attempt(cfg.seed);
-  ASSERT_TRUE(session.snapshot_mode());
   EXPECT_GT(first.mitigation.ward_lockouts, 0u)
-      << "scenario never engaged the ward split — restore not exercised";
-  // Attempt 2 restores over ward-locked pages and fence-rewritten text.
+      << "scenario never engaged the ward split — revert not exercised";
+  // Attempt 2 runs after a revert over ward-locked pages and
+  // fence-rewritten text.
   const core::ScenarioRun second = session.run_attempt(cfg.seed);
   EXPECT_EQ(fingerprint(first), fingerprint(second));
 
@@ -361,7 +359,6 @@ TEST(DefenseE2E, SnapshotRestoreReproducesWardSplitAndFenceRuns) {
   const core::ScenarioRun third = session.run_attempt(cfg.seed + 13);
   core::ScenarioSession fresh(cfg);
   EXPECT_EQ(fingerprint(third), fingerprint(fresh.run_attempt(cfg.seed + 13)));
-  set_fast_reset_enabled(prev);
 }
 
 // --- defense matrix -------------------------------------------------------

@@ -541,5 +541,31 @@ TEST(ServeServer, FailedJobGetsTerminalFrame) {
   EXPECT_EQ(stats.accepted, stats.completed + stats.cancelled);
 }
 
+// A ~50-byte program job asking for a 100 TB section must fail alone — not
+// exhaust host memory and abort the server — and the same server must answer
+// the next job.
+TEST(ServeServer, HostileSectionSizeFailsOnlyItsJob) {
+  ServeConfig scfg;
+  scfg.shards = 1;
+  Server server(scfg);
+  server.start();
+  Client client = Client::connect_tcp(server.port());
+
+  core::JobSpec hostile = program_spec(1);
+  hostile.program.source = "main:\n.data\nbig:\n.space 100000000000000\n";
+  const Client::JobResult bad = client.run(hostile);
+  ASSERT_TRUE(bad.accepted);
+  EXPECT_EQ(bad.status, "failed");
+  EXPECT_NE(bad.payload.find("overflows the simulated address space"),
+            std::string::npos)
+      << bad.payload;
+
+  const Client::JobResult next = client.run(program_spec(2));
+  ASSERT_TRUE(next.accepted);
+  EXPECT_EQ(next.status, "ok");
+  EXPECT_NE(next.payload.find("exit=42"), std::string::npos);
+  server.shutdown(true);
+}
+
 }  // namespace
 }  // namespace crs

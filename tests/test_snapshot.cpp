@@ -1,25 +1,22 @@
-// Snapshot/restore fast-reset engine: the differential contract.
+// Session reuse: the differential contract.
 //
-// The whole subsystem hangs on one promise — a restored machine is
-// indistinguishable from a freshly constructed one, and a ScenarioSession
-// attempt is bit-identical to the legacy rebuild-everything run_scenario.
-// These tests pin that promise from every angle: scenario traces, campaign
-// results across thread counts, fuzz-corpus differential runs against the
-// pooled-machine path, memo-cache semantics and MachinePool reuse.
+// A ScenarioSession pays setup once and reverts its machine after every
+// attempt. The whole design hangs on one promise — a reverted session's
+// attempt is bit-identical to a fresh session's (and therefore to
+// run_scenario and the golden traces). These tests pin that promise for
+// scenario traces, perturbation changes, campaign results across thread
+// counts, the metrics a session publishes, revert itself and the memo
+// caches.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "casm/assembler.hpp"
-#include "casm/runtime.hpp"
 #include "core/campaign.hpp"
 #include "core/corpus.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
-#include "fuzz/differ.hpp"
-#include "fuzz/generator.hpp"
 #include "obs/metrics.hpp"
 #include "sim/snapshot.hpp"
 #include "support/memo.hpp"
@@ -27,18 +24,6 @@
 
 namespace crs {
 namespace {
-
-/// Scoped fast-reset mode override (restores the previous mode on exit).
-class FastResetMode {
- public:
-  explicit FastResetMode(bool enabled) : prev_(fast_reset_enabled()) {
-    set_fast_reset_enabled(enabled);
-  }
-  ~FastResetMode() { set_fast_reset_enabled(prev_); }
-
- private:
-  bool prev_;
-};
 
 core::ScenarioConfig small_scenario() {
   core::ScenarioConfig config;
@@ -65,59 +50,40 @@ std::string run_fingerprint(const core::ScenarioRun& run) {
   return os.str();
 }
 
-TEST(ScenarioSession, FirstAttemptMatchesLegacyRunScenario) {
-  const core::ScenarioConfig config = small_scenario();
-
-  std::string legacy;
-  {
-    FastResetMode off(false);
-    legacy = run_fingerprint(core::run_scenario(config));
-  }
-  std::string fast;
-  {
-    FastResetMode on(true);
-    fast = run_fingerprint(core::run_scenario(config));
-  }
-  EXPECT_EQ(legacy, fast);
-}
-
-TEST(ScenarioSession, RestoredAttemptMatchesFreshSession) {
-  FastResetMode on(true);
+TEST(ScenarioSession, RevertedAttemptMatchesFreshSession) {
   const core::ScenarioConfig config = small_scenario();
 
   core::ScenarioSession session(config);
   (void)session.run_attempt(config.seed);       // dirty the machine
-  (void)session.run_attempt(config.seed + 7);   // restore + dirty again
-  const std::string restored =
+  (void)session.run_attempt(config.seed + 7);   // revert + dirty again
+  const std::string reverted =
       run_fingerprint(session.run_attempt(config.seed + 3));
 
   core::ScenarioSession fresh(config);
   const std::string first =
       run_fingerprint(fresh.run_attempt(config.seed + 3));
 
-  EXPECT_EQ(restored, first);
+  EXPECT_EQ(reverted, first);
   EXPECT_EQ(session.attempts(), 3u);
 }
 
-TEST(ScenarioSession, RestoredStandaloneAttackMatchesFresh) {
-  FastResetMode on(true);
+TEST(ScenarioSession, RevertedStandaloneAttackMatchesFresh) {
   core::ScenarioConfig config = small_scenario();
   config.rop_injected = false;
   config.perturb = false;
 
   core::ScenarioSession session(config);
   (void)session.run_attempt(config.seed);
-  const std::string restored =
+  const std::string reverted =
       run_fingerprint(session.run_attempt(config.seed + 1));
 
   core::ScenarioSession fresh(config);
   const std::string first =
       run_fingerprint(fresh.run_attempt(config.seed + 1));
-  EXPECT_EQ(restored, first);
+  EXPECT_EQ(reverted, first);
 }
 
 TEST(ScenarioSession, DynamicPerturbParamsRebuildOnlyAttackBinary) {
-  FastResetMode on(true);
   const core::ScenarioConfig config = small_scenario();
 
   perturb::PerturbParams mutated = config.perturb_params;
@@ -142,21 +108,9 @@ TEST(ScenarioSession, DynamicPerturbParamsRebuildOnlyAttackBinary) {
   EXPECT_EQ(back, run_fingerprint(fresh_back.run_attempt(config.seed + 6)));
 }
 
-TEST(ScenarioSession, SnapshotOffFallsBackToRebuild) {
-  FastResetMode off(false);
-  const core::ScenarioConfig config = small_scenario();
-  core::ScenarioSession session(config);
-  EXPECT_FALSE(session.snapshot_mode());
-  const std::string a = run_fingerprint(session.run_attempt(config.seed));
-  // Second attempt reconstructs machine/kernel (legacy semantics) — still
-  // identical to a fresh run with the same seed.
-  const std::string b = run_fingerprint(session.run_attempt(config.seed));
-  EXPECT_EQ(a, b);
-}
-
 /// Campaign results (records + published metrics) must be identical for any
-/// worker count, in both snapshot and legacy modes.
-TEST(CampaignDeterminism, ThreadCountInvariantWithFastReset) {
+/// worker count.
+TEST(CampaignDeterminism, ThreadCountInvariant) {
   core::CorpusConfig cc;
   cc.windows_per_class = 24;
   cc.seed = 5;
@@ -184,55 +138,37 @@ TEST(CampaignDeterminism, ThreadCountInvariantWithFastReset) {
     return os.str();
   };
 
-  FastResetMode on(true);
   const std::string one = fingerprint(1);
   EXPECT_EQ(one, fingerprint(2));
   EXPECT_EQ(one, fingerprint(8));
-
-  // --snapshot=off is a cost switch, not a results switch: the legacy
-  // rebuild-everything path draws the same randomness and must reproduce
-  // the campaign byte-for-byte.
-  FastResetMode off(false);
-  EXPECT_EQ(one, fingerprint(1));
 }
 
-/// The fuzz differ's pooled-machine path: a machine acquired from the pool
-/// (and previously dirtied by another program) must behave exactly like a
-/// freshly constructed one, for every corpus program.
-TEST(FuzzDifferential, PooledMachineMatchesFreshBuild) {
-  fuzz::GeneratorOptions options;
-  options.allow_rdcycle = false;
-  const fuzz::RunLimits limits;
-  const fuzz::ExecConfig base_config;
+/// Every attempt folds its machine's counters into `sim.session.*`: the
+/// registry ends up holding the session cache, predictor and PMU traffic.
+TEST(CampaignDeterminism, SessionsPublishSimMetrics) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  core::CorpusConfig cc;
+  cc.windows_per_class = 24;
+  cc.seed = 5;
+  core::CampaignConfig config;
+  config.attempts = 2;
+  config.seed = 12;
+  config.scenario = small_scenario();
 
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    Rng rng(derive_seed(0xF00D, i));
-    const fuzz::FuzzProgram prog = fuzz::generate_program(rng, options);
-    const sim::Program binary =
-        casm::assemble(prog.source() + casm::runtime_library(),
-                       {.name = "fuzz", .link_base = 0x10000});
-
-    fuzz::ExecResult fresh;
-    {
-      FastResetMode off(false);
-      fresh = fuzz::run_under_config(binary, base_config, limits,
-                                     prog.uses_smc);
-    }
-    FastResetMode on(true);
-    // Twice: the first acquire constructs, the second restores a machine the
-    // first run dirtied — both must match the fresh build byte-for-byte.
-    for (int round = 0; round < 2; ++round) {
-      const fuzz::ExecResult pooled = fuzz::run_under_config(
-          binary, base_config, limits, prog.uses_smc);
-      const std::string diff =
-          fuzz::compare_results(fresh, pooled, /*arch_only=*/false);
-      EXPECT_EQ(diff, "") << "program " << i << " round " << round;
-    }
+  auto& reg = obs::MetricsRegistry::instance();
+  reg.reset_values();
+  (void)core::run_campaign(config, core::build_benign_corpus(cc),
+                           core::build_attack_corpus(cc));
+  const std::string csv = reg.csv();
+  for (const char* name :
+       {"sim.session.cache.l1d.hits", "sim.session.predictor.pht.updates",
+        "sim.session.pmu.instructions", "sim.session.cpu.retired"}) {
+    EXPECT_NE(csv.find(name), std::string::npos) << name;
   }
+  EXPECT_GT(reg.counter("sim.session.cpu.retired").value(), 0u);
 }
 
-TEST(MemoCacheTest, HitsMissesAndDisableBypass) {
-  FastResetMode on(true);
+TEST(MemoCacheTest, HitsAndMisses) {
   MemoCache<int> cache;
   int builds = 0;
   const auto build = [&] { return ++builds; };
@@ -242,73 +178,32 @@ TEST(MemoCacheTest, HitsMissesAndDisableBypass) {
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.size(), 2u);
-
-  set_fast_reset_enabled(false);
-  EXPECT_EQ(*cache.get_or_build(1, build), 3);  // bypass: rebuilt
-  EXPECT_EQ(cache.size(), 2u);                  // nothing new cached
-  set_fast_reset_enabled(true);
-  EXPECT_EQ(*cache.get_or_build(1, build), 1);  // cache intact
 }
 
-TEST(MachinePoolTest, RestoresToPristineAndEvictsLru) {
-  FastResetMode on(true);
-  sim::MachinePool pool(2);
-
-  sim::MachineConfig a;
-  sim::MachineConfig b;
-  b.cpu.decode_cache = false;
-  sim::MachineConfig c;
-  c.memory_size = 8 * 1024 * 1024;
-
-  sim::Machine& ma = pool.acquire(a);
-  // Dirty it the way a run would: map a page, write, advance counters.
-  ma.memory().set_permissions(0, sim::Memory::kPageSize, sim::kPermRW);
-  ma.memory().write_u64(64, 0xDEADBEEF);
-  EXPECT_EQ(pool.misses(), 1u);
-
-  sim::Machine& ma2 = pool.acquire(a);
-  EXPECT_EQ(&ma2, &ma);  // same pooled machine...
-  EXPECT_EQ(pool.hits(), 1u);
-  // ...restored: bytes zeroed, permissions dropped, but version advanced.
-  EXPECT_EQ(ma2.memory().read_u64(64), 0u);
-  EXPECT_EQ(ma2.memory().permissions_at(0), sim::kPermNone);
-  EXPECT_GT(ma2.memory().page_version(0), 1u);
-  EXPECT_EQ(ma2.cpu().retired(), 0u);
-
-  (void)pool.acquire(b);
-  EXPECT_EQ(pool.size(), 2u);
-  (void)pool.acquire(c);  // evicts the LRU entry (a)
-  EXPECT_EQ(pool.size(), 2u);
-  (void)pool.acquire(a);  // reconstructed, not restored
-  EXPECT_EQ(pool.misses(), 4u);
-}
-
-TEST(SnapshotTest, RestoreBumpsVersionsAndRewritesBytes) {
+TEST(MachineRevert, RevertBumpsVersionsAndRewritesBytes) {
   sim::Machine machine;
-  sim::MachineSnapshot snap = machine.snapshot();
-  EXPECT_EQ(snap.stored_page_count(), 0u);  // fresh machine: all pristine
-
   auto& mem = machine.memory();
   mem.set_permissions(0, 2 * sim::Memory::kPageSize, sim::kPermRW);
   mem.write_u64(8, 0x1111);
   mem.write_u64(sim::Memory::kPageSize + 8, 0x2222);
   const std::uint32_t dirty_version = mem.page_version(0);
 
-  machine.restore(snap);
-  EXPECT_EQ(snap.last_restored_pages(), 2u);
+  machine.cpu().reset(0, 0x8000);
+  machine.pmu().add(sim::Event::kInstructions, 5);
+
+  EXPECT_EQ(machine.revert(), 2u);
   EXPECT_EQ(mem.read_u64(8), 0u);
   EXPECT_EQ(mem.permissions_at(0), sim::kPermNone);
+  EXPECT_EQ(machine.pmu().count(sim::Event::kInstructions), 0u);
+  EXPECT_TRUE(machine.cpu().halted());
   // The invariant the decode cache depends on: versions only ever advance.
   EXPECT_GT(mem.page_version(0), dirty_version);
 
-  // Untouched attempt: nothing to restore (dirty tracking re-baselined).
-  machine.restore(snap);
-  EXPECT_EQ(snap.last_restored_pages(), 0u);
-  EXPECT_EQ(snap.restore_count(), 2u);
+  // Untouched attempt: nothing to revert (dirty tracking re-baselined).
+  EXPECT_EQ(machine.revert(), 0u);
 }
 
-TEST(SnapshotTest, MemoStatsExposeScenarioCaches) {
-  FastResetMode on(true);
+TEST(MemoCacheTest, MemoStatsExposeScenarioCaches) {
   const auto before = core::scenario_memo_stats();
   core::ScenarioConfig config = small_scenario();
   config.seed = 0xBEEF;  // unique per-test key so misses are guaranteed

@@ -14,14 +14,6 @@
 //                                     preset shows mitigation activity
 //   crs_matrix --threads N            worker-pool width (results identical
 //                                     for any value)
-//   crs_matrix --snapshot on|off      snapshot/memo fast-reset engine
-//                                     (default on; off = legacy rebuild of
-//                                     every machine and binary per attempt)
-//   crs_matrix --cow on|off           copy-on-write machine forking
-//                                     (default on: sessions replicate from
-//                                     a shared frozen baseline in O(dirty
-//                                     pages); off = private builds). Cost
-//                                     switch only — bytes identical
 //   crs_matrix --exec interp|blocks   execution engine for every simulated
 //                                     machine in the sweep (default blocks;
 //                                     results identical for either — the
@@ -72,8 +64,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--quick] [--check] [--presets a,b,c] "
                "[--attempts N] [--seed S] [--csv <path>] [--json <path>] "
-               "[--metrics <path>] [--threads N] [--snapshot on|off] "
-               "[--cow on|off] "
+               "[--metrics <path>] [--threads N] "
                "[--exec interp|blocks] [--bench-json <path>] "
                "[--mined N] [--mined-seed S] [--harden-sweep]\n",
                argv0);
@@ -320,10 +311,6 @@ int main(int argc, char** argv) {
       } else if (args.take_u64("--mined-seed", mined_seed)) {
       } else if (args.take_u64("--threads", u)) {
         set_thread_override(static_cast<unsigned>(u));
-      } else if (args.take_value("--snapshot", value)) {
-        apply_snapshot_flag(value);
-      } else if (args.take_value("--cow", value)) {
-        apply_cow_flag(value);
       } else if (args.take_value("--exec", value)) {
         apply_exec_flag(value);
       } else if (args.take("--help")) {

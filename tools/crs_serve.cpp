@@ -2,8 +2,7 @@
 //
 //   crs_serve [--port N | --unix <path>] [--shards N] [--queue N]
 //             [--affinity on|off] [--session-cache N]
-//             [--snapshot on|off] [--cow on|off] [--threads N]
-//             [--metrics <out.csv>]
+//             [--threads N] [--metrics <out.csv>]
 //
 //     Listens for length-prefixed job frames (see src/serve/protocol.hpp),
 //     runs scenario/campaign/matrix/program jobs on N worker shards with
@@ -63,8 +62,7 @@ int usage() {
       stderr,
       "usage: crs_serve [--port N | --unix <path>] [--shards N] [--queue N]\n"
       "                 [--affinity on|off] [--session-cache N]\n"
-      "                 [--snapshot on|off] [--cow on|off] [--threads N] "
-      "[--metrics <out.csv>]\n"
+      "                 [--threads N] [--metrics <out.csv>]\n"
       "       crs_serve --oneshot <jobspec-file|->\n"
       "       crs_serve --example scenario|campaign|matrix\n");
   return 2;
@@ -98,10 +96,6 @@ int main(int argc, char** argv) {
         config.affinity = parse_on_off("--affinity", value);
       } else if (args.take_u64("--session-cache", u)) {
         config.session_cache_capacity = u;
-      } else if (args.take_value("--snapshot", value)) {
-        apply_snapshot_flag(value);
-      } else if (args.take_value("--cow", value)) {
-        apply_cow_flag(value);
       } else if (args.take_u64("--threads", u)) {
         set_thread_override(static_cast<unsigned>(u));
       } else if (args.take_value("--metrics", metrics_path)) {
@@ -180,7 +174,9 @@ int main(int argc, char** argv) {
                    metrics_path.c_str());
     }
     return 0;
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
+    // Not only crs::Error: a hostile job spec must not abort with an
+    // uncaught std::bad_alloc.
     std::fprintf(stderr, "crs_serve: %s\n", e.what());
     return 1;
   }
